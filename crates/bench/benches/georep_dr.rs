@@ -5,8 +5,8 @@
 //! `cargo xtask bench-check`):
 //!
 //! * `georep_dr` — a primary cluster runs the TPC-W shopping mix while a
-//!   standby colo's applier drains the WAL stream in the background (the
-//!   stream is hand-driven, shipper → applier in-process). The
+//!   standby colo's applier drains the WAL stream in the background
+//!   through an in-process `GeoLink` (shipper → applier). The
 //!   **primary-side** cost of shipping — the WAL tail scan, the
 //!   per-database filter, and the batch clone; everything the primary colo
 //!   itself does for the stream — is measured by re-scanning exactly the
@@ -40,10 +40,9 @@ use parking_lot::Mutex;
 use tenantdb_bench::fast_mode;
 use tenantdb_bench::snapshot::{update_section, SnapValue};
 use tenantdb_cluster::controller::ClusterConfig;
-use tenantdb_cluster::{ClusterController, MachineId};
-use tenantdb_georep::{promote, Applier, GeoError, GeoMetrics, Shipper};
+use tenantdb_cluster::ClusterController;
 use tenantdb_obs::MetricsRegistry;
-use tenantdb_storage::Lsn;
+use tenantdb_platform::georep::{promote, Applier, GeoLink, GeoMetrics, Shipper};
 use tenantdb_tpcw::driver::{run_workload, setup_tpcw_databases, DbWorkload, WorkloadConfig};
 use tenantdb_tpcw::generator::Scale;
 use tenantdb_tpcw::mix::SHOPPING;
@@ -81,58 +80,6 @@ fn slice(cluster: &Arc<ClusterController>, w: &[DbWorkload], d: Duration, seed: 
     (report.committed, report.elapsed.as_secs_f64())
 }
 
-/// A hand-driven stream pump (the [`tenantdb_georep::GeoLink`] exchange,
-/// unrolled so the shipper's primary-side calls can be timed in
-/// isolation).
-struct Pump {
-    shipper: Shipper,
-    applier: Arc<Mutex<Applier>>,
-    session: Option<MachineId>,
-    acked: Lsn,
-}
-
-impl Pump {
-    /// Source WAL head minus the standby ack, in LSN units.
-    fn lag(&self) -> u64 {
-        self.shipper
-            .head_lsn()
-            .map(|h| h.0.saturating_sub(self.acked.0))
-            .unwrap_or(0)
-    }
-
-    /// Drained = the scan cursor reached the WAL head. (The ack watermark
-    /// can sit a few records behind it when the tail of the WAL is
-    /// filtered — e.g. commit markers of read-only transactions.)
-    fn drained(&self) -> bool {
-        self.shipper
-            .head_lsn()
-            .map(|h| self.shipper.cursor() == h)
-            .unwrap_or(false)
-    }
-
-    /// Pump until the source is drained, handshaking (and re-pinning) as
-    /// needed.
-    fn sync(&mut self) -> Result<(), GeoError> {
-        loop {
-            let pin = self.shipper.pin()?;
-            if self.session != Some(pin) {
-                let resume = self.applier.lock().handshake(pin, self.shipper.epoch())?;
-                self.shipper.rewind(resume);
-                self.acked = resume;
-                self.session = Some(pin);
-            }
-            let batch = self.shipper.next_batch()?;
-            if batch.is_empty() {
-                self.shipper.note_acked(self.acked)?;
-                return Ok(());
-            }
-            let watermark = self.applier.lock().ingest(self.shipper.epoch(), &batch)?;
-            self.acked = watermark;
-            self.shipper.note_acked(watermark)?;
-        }
-    }
-}
-
 fn georep_dr() {
     let items = if fast_mode() { 40 } else { 100 };
     let slice_dur = if fast_mode() {
@@ -164,15 +111,10 @@ fn georep_dr() {
         metrics.clone(),
     )));
     let shipper = Shipper::new(Arc::clone(&primary), "tpcw0", metrics.clone()).expect("shipper");
-    let mut pump = Pump {
-        shipper,
-        applier: Arc::clone(&applier),
-        session: None,
-        acked: Lsn::ZERO,
-    };
+    let mut pump = GeoLink::new(shipper, Arc::clone(&applier), metrics.clone());
     pump.sync().expect("initial drain");
     slice(&primary, &workloads, 4 * slice_dur, 1);
-    let window_start = pump.shipper.head_lsn().expect("head at window start");
+    let window_start = pump.shipper().head_lsn().expect("head at window start");
 
     // The pump thread chases the WAL head whenever unpaused, sampling the
     // backlog before each drain.
@@ -221,7 +163,7 @@ fn georep_dr() {
     let window_seconds = started.elapsed().as_secs_f64();
     stop.store(true, Ordering::Relaxed);
     let (pump, samples) = pump.join().expect("pump thread");
-    assert!(pump.drained(), "stream fully drained after the window");
+    assert_eq!(pump.lag(), 0, "stream fully drained after the window");
     let baseline_tps = base_txns as f64 / base_secs;
     let shipping_tps = ship_txns as f64 / ship_secs;
 
@@ -255,7 +197,7 @@ fn georep_dr() {
     // demand every acknowledged (= drained) commit is readable there.
     let primary_orders = orders_count(&primary, "tpcw0");
     let started = Instant::now();
-    let out = promote(&standby, Some(&primary), &[applier], &metrics).expect("promote");
+    let out = promote("tpcw0", &standby, Some(&primary), &[applier], &metrics).expect("promote");
     let promotion_ms = started.elapsed().as_secs_f64() * 1000.0;
     assert!(
         out.fenced_old_primary,

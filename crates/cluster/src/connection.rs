@@ -195,7 +195,7 @@ impl Connection {
 
     fn run_ddl(&self, stmt: &Arc<Statement>) -> Result<QueryResult> {
         // Geo fence: DDL is a write (see run_write).
-        self.controller.check_geo_fence()?;
+        self.controller.check_geo_fence(&self.db)?;
         // DDL broadcasts like a write: hold the routing barrier across the
         // copy-state check and the per-replica apply, so a replica copy
         // cannot start dumping in between (a table created on the old
@@ -391,9 +391,10 @@ impl Connection {
     }
 
     fn run_write(&self, stmt: &Arc<Statement>, params: Arc<Vec<Value>>) -> Result<QueryResult> {
-        // Geo fence: a cluster that lost write authority to a promoted
-        // standby colo accepts no writes. One relaxed load while unfenced.
-        self.controller.check_geo_fence()?;
+        // Geo fence: a cluster that lost write authority for this database
+        // to a promoted standby copy accepts no writes to it. One relaxed
+        // load while nothing on the cluster is fenced.
+        self.controller.check_geo_fence(&self.db)?;
         let started = Instant::now();
         let metrics = self.controller.metrics();
         let tables = Self::broadcast_tables(stmt)
@@ -554,9 +555,9 @@ impl Connection {
         }
 
         // Geo fence: refuse to *decide* a writing transaction once this
-        // cluster lost write authority — a commit here would never ship to
-        // the promoted colo and the two sides would fork.
-        if let Err(e) = self.controller.check_geo_fence() {
+        // cluster lost write authority for the database — a commit here
+        // would never ship to the promoted copy and the two would fork.
+        if let Err(e) = self.controller.check_geo_fence(&self.db) {
             self.finish_abort(&mut txn, &e);
             return Err(e);
         }

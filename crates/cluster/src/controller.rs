@@ -14,7 +14,7 @@
 //! must happen exactly once, never once-per-replica.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::sync::{RouteBarrier, RouteGuard, RwLock, CTRL_MACHINES, CTRL_RECORDER};
@@ -173,15 +173,10 @@ pub struct ClusterController {
     /// one atomic load on the transaction entry path — until an SLA is
     /// installed via [`Self::set_sla`].
     admission: crate::admission::AdmissionTable,
-    /// Cross-colo write authority: the fencing epoch at which this cluster
-    /// was last authorized as a primary (0 = the initial primary). Writes
-    /// are rejected once a higher epoch is observed ([`Self::fence_geo`]).
-    geo_write_epoch: AtomicU64,
-    /// Fast-path cache of the highest fencing epoch durably observed via
-    /// [`Self::fence_geo`] / [`Self::assume_geo_epoch`]. The durable copy
-    /// lives in the replicated metadata group; this cache keeps the
-    /// per-write check to one relaxed atomic load.
-    geo_fence_cache: AtomicU64,
+    /// Set once any database here was fenced ([`Self::fence_geo`]). The
+    /// per-database epochs live in the replicated metadata group; until
+    /// this is set the per-write fence check is one relaxed atomic load.
+    geo_fenced_any: AtomicBool,
 }
 
 impl ClusterController {
@@ -199,8 +194,7 @@ impl ClusterController {
             faults,
             cfg,
             admission: crate::admission::AdmissionTable::new(),
-            geo_write_epoch: AtomicU64::new(0),
-            geo_fence_cache: AtomicU64::new(0),
+            geo_fenced_any: AtomicBool::new(false),
         })
     }
 
@@ -387,7 +381,7 @@ impl ClusterController {
     /// placement directly).
     pub fn create_database_on(&self, name: &str, machine_ids: &[MachineId]) -> Result<()> {
         // Geo fence: creating a database is a write.
-        self.check_geo_fence()?;
+        self.check_geo_fence(name)?;
         if self.group.placement(name).is_some() {
             return Err(ClusterError::AlreadyExists(name.to_string()));
         }
@@ -406,7 +400,7 @@ impl ClusterController {
     /// Drop a database: remove it from every replica and the placement map.
     pub fn drop_database(&self, db: &str) -> Result<()> {
         // Geo fence: dropping a database is a write.
-        self.check_geo_fence()?;
+        self.check_geo_fence(db)?;
         let placement = self.group.drop_db(db)?;
         for id in placement.replicas {
             if let Ok(m) = self.machine(id) {
@@ -500,7 +494,7 @@ impl ClusterController {
     /// Run a DDL statement (CREATE TABLE / CREATE INDEX) on every replica.
     pub fn ddl(&self, db: &str, sql: &str) -> Result<()> {
         // Geo fence: DDL is a write.
-        self.check_geo_fence()?;
+        self.check_geo_fence(db)?;
         let stmt = parse(sql)?;
         if !matches!(
             stmt,
@@ -748,69 +742,66 @@ impl ClusterController {
 
     // ------------------------------------------- cross-colo fencing (georep)
 
-    /// This cluster's current write authority: the fencing epoch at which it
-    /// was last authorized as a primary. `0` for the initial primary.
-    pub fn geo_write_epoch(&self) -> u64 {
-        // ordering: Relaxed — epoch reads are advisory snapshots; the
-        // authoritative fence is the replicated metadata round in fence_geo().
-        self.geo_write_epoch.load(Ordering::Relaxed)
+    /// This cluster's write authority for `db`: the fencing epoch at which
+    /// it was last authorized as `db`'s primary. `0` for the initial primary.
+    pub fn geo_write_epoch(&self, db: &str) -> u64 {
+        self.group.geo_epochs(db).authority
     }
 
-    /// The highest fencing epoch this cluster has durably observed (read
-    /// from the replicated metadata group, not the fast-path cache).
-    pub fn geo_epoch(&self) -> u64 {
-        self.group.geo_epoch()
+    /// The highest fencing epoch this cluster has durably observed for `db`.
+    pub fn geo_epoch(&self, db: &str) -> u64 {
+        self.group.geo_epochs(db).seen
     }
 
-    /// Fence this cluster at `epoch`: durably record (via a metadata quorum
-    /// round) that a standby colo was promoted at that epoch, so every
-    /// subsequent write here whose authority is older is rejected with
-    /// [`ClusterError::Fenced`]. Monotonic and idempotent; returns the
+    /// Fence `db` on this cluster at `epoch`: durably record (via a
+    /// metadata quorum round) that a standby copy of `db` was promoted at
+    /// that epoch, so every subsequent write to `db` here whose authority is
+    /// older is rejected with [`ClusterError::Fenced`]. Other databases on
+    /// this cluster are unaffected. Monotonic and idempotent; returns the
     /// post-apply epoch. Fails without a controller quorum — the caller
     /// (georep promotion) treats an unreachable old primary as fenced by
     /// the epoch check on its replication stream instead.
-    pub fn fence_geo(&self, epoch: u64) -> Result<u64> {
-        let e = self.group.set_geo_epoch(epoch)?;
-        // ordering: Relaxed — the cache only widens the fence window; the
+    pub fn fence_geo(&self, db: &str, epoch: u64) -> Result<u64> {
+        let e = self.group.set_geo_epoch(db, epoch, false)?;
+        // ordering: Relaxed — the gate only widens the checked set; the
         // durable quorum round above is the synchronization point.
-        self.geo_fence_cache.fetch_max(e, Ordering::Relaxed);
-        if e > self.geo_write_epoch() {
+        self.geo_fenced_any.store(true, Ordering::Relaxed);
+        if e.fenced() {
             self.metrics
                 .events()
-                .emit("geo_fenced", fields![("epoch", e)]);
+                .emit("geo_fenced", fields![("db", db), ("epoch", e.seen)]);
         }
-        Ok(e)
+        Ok(e.seen)
     }
 
-    /// Take write authority at `epoch` (standby promotion): durably record
-    /// the epoch, then adopt it as this cluster's write authority so its
-    /// own fence check passes. Returns the adopted epoch.
-    pub fn assume_geo_epoch(&self, epoch: u64) -> Result<u64> {
-        let e = self.group.set_geo_epoch(epoch)?;
-        // ordering: Relaxed — see geo_write_epoch(); the quorum round is the
-        // synchronization point, these are its cached projections.
-        self.geo_write_epoch.fetch_max(e, Ordering::Relaxed);
-        self.geo_fence_cache.fetch_max(e, Ordering::Relaxed);
+    /// Take write authority for `db` at `epoch` (standby promotion):
+    /// durably record the epoch and adopt it as this cluster's authority
+    /// for `db`, so its own fence check passes. Returns the adopted epoch.
+    pub fn assume_geo_epoch(&self, db: &str, epoch: u64) -> Result<u64> {
+        let e = self.group.set_geo_epoch(db, epoch, true)?;
         self.metrics
             .events()
-            .emit("geo_promoted", fields![("epoch", e)]);
-        Ok(e)
+            .emit("geo_promoted", fields![("db", db), ("epoch", e.authority)]);
+        Ok(e.authority)
     }
 
-    /// Is this cluster currently fenced (a newer colo holds write authority)?
-    pub fn is_geo_fenced(&self) -> bool {
-        // ordering: Relaxed — advisory pairing of two monotonic counters.
-        self.geo_fence_cache.load(Ordering::Relaxed) > self.geo_write_epoch()
+    /// Is `db` fenced here (a newer copy holds its write authority)?
+    pub fn is_geo_fenced(&self, db: &str) -> bool {
+        self.group.geo_epochs(db).fenced()
     }
 
     /// The per-write fence check: `Err(Fenced)` once a newer epoch was
-    /// observed. One relaxed atomic load on the hot path while unfenced.
-    pub(crate) fn check_geo_fence(&self) -> Result<()> {
-        // ordering: Relaxed — see is_geo_fenced().
-        let fence = self.geo_fence_cache.load(Ordering::Relaxed);
-        if fence > self.geo_write_epoch() {
+    /// observed for `db`. One relaxed atomic load while no database here
+    /// was ever fenced.
+    pub(crate) fn check_geo_fence(&self, db: &str) -> Result<()> {
+        // ordering: Relaxed — see fence_geo().
+        if !self.geo_fenced_any.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        let e = self.group.geo_epochs(db);
+        if e.fenced() {
             self.metrics.note_geo_fenced_write();
-            return Err(ClusterError::Fenced { epoch: fence });
+            return Err(ClusterError::Fenced { epoch: e.seen });
         }
         Ok(())
     }
@@ -929,24 +920,26 @@ mod tests {
     #[test]
     fn geo_fence_rejects_every_write_shape() {
         let c = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
-        c.create_database("app", 2).unwrap();
-        c.ddl(
-            "app",
-            "CREATE TABLE t (id INT NOT NULL, v TEXT, PRIMARY KEY (id))",
-        )
-        .unwrap();
+        for db in ["app", "other"] {
+            c.create_database(db, 2).unwrap();
+            c.ddl(
+                db,
+                "CREATE TABLE t (id INT NOT NULL, v TEXT, PRIMARY KEY (id))",
+            )
+            .unwrap();
+        }
         let conn = c.connect("app").unwrap();
         conn.execute("INSERT INTO t VALUES (1, 'pre')", &[])
             .unwrap();
 
-        // A standby colo is promoted at epoch 1: this cluster is fenced.
-        assert!(!c.is_geo_fenced());
-        assert_eq!(c.fence_geo(1).unwrap(), 1);
-        assert!(c.is_geo_fenced());
-        assert_eq!(c.geo_epoch(), 1);
-        assert_eq!(c.geo_write_epoch(), 0);
+        // A standby copy of app is promoted at epoch 1: app is fenced here.
+        assert!(!c.is_geo_fenced("app"));
+        assert_eq!(c.fence_geo("app", 1).unwrap(), 1);
+        assert!(c.is_geo_fenced("app"));
+        assert_eq!(c.geo_epoch("app"), 1);
+        assert_eq!(c.geo_write_epoch("app"), 0);
 
-        // DML, DDL and catalog writes are all rejected...
+        // DML, DDL and catalog writes to app are all rejected...
         let err = conn
             .execute("INSERT INTO t VALUES (2, 'post')", &[])
             .unwrap_err();
@@ -955,7 +948,6 @@ mod tests {
             .ddl("app", "CREATE TABLE u (id INT NOT NULL, PRIMARY KEY (id))")
             .unwrap_err()
             .is_fenced());
-        assert!(c.create_database("other", 1).unwrap_err().is_fenced());
         assert!(c.drop_database("app").unwrap_err().is_fenced());
         // ...an in-flight writing transaction cannot decide past the fence...
         let conn2 = c.connect("app").unwrap();
@@ -964,11 +956,16 @@ mod tests {
         let r = conn2.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
         assert_eq!(r.rows[0][0], tenantdb_storage::Value::Int(1));
         conn2.commit().unwrap();
-        assert!(c.metrics().geo_fenced_writes.get() >= 4);
+        assert!(c.metrics().geo_fenced_writes.get() >= 3);
+
+        // ...while the cluster's other databases keep taking writes.
+        let other = c.connect("other").unwrap();
+        other.execute("INSERT INTO t VALUES (1, 'o')", &[]).unwrap();
+        c.create_database("third", 1).unwrap();
 
         // Re-authorizing at the fencing epoch (failback) reopens writes.
-        assert_eq!(c.assume_geo_epoch(1).unwrap(), 1);
-        assert!(!c.is_geo_fenced());
+        assert_eq!(c.assume_geo_epoch("app", 1).unwrap(), 1);
+        assert!(!c.is_geo_fenced("app"));
         conn.execute("INSERT INTO t VALUES (2, 'post')", &[])
             .unwrap();
     }

@@ -53,11 +53,12 @@ pub enum ClusterError {
         /// Database whose admission gate shed the transaction.
         db: String,
     },
-    /// This cluster has been fenced by a cross-colo failover: a standby was
-    /// promoted at `epoch`, which is newer than this cluster's write
-    /// authority, so every write here is rejected (the split-brain guard of
-    /// the georep promotion protocol). Not retryable against this cluster —
-    /// the client must reconnect to the promoted colo.
+    /// The database has been fenced on this cluster by a cross-colo
+    /// failover: its standby copy was promoted at `epoch`, which is newer
+    /// than this cluster's write authority for it, so every write to it
+    /// here is rejected (the split-brain guard of the georep promotion
+    /// protocol). Not retryable against this cluster — the client must
+    /// reconnect to the promoted colo.
     Fenced {
         /// The fencing epoch that superseded this cluster's authority.
         epoch: u64,
@@ -95,7 +96,7 @@ impl fmt::Display for ClusterError {
             ClusterError::Fenced { epoch } => {
                 write!(
                     f,
-                    "cluster fenced: a standby colo was promoted at epoch {epoch}"
+                    "database fenced: its standby copy was promoted at epoch {epoch}"
                 )
             }
         }

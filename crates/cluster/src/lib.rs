@@ -65,7 +65,7 @@ pub use controller::{
 pub use error::{ClusterError, Result};
 pub use fault::{CrashPoint, FaultAction, FaultInjector, FaultPlan, Trigger};
 pub use machine::{Machine, MachineId};
-pub use meta::{ControllerGroup, CtrlStatus};
+pub use meta::{ControllerGroup, CtrlStatus, GeoEpochs};
 pub use metrics::{ClusterMetrics, DbCounters, PoolMetrics};
 pub use pair::{ProcessPair, Role, TakeoverReport};
 pub use pool::{PoolConfig, WorkerPool};

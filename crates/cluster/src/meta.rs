@@ -101,11 +101,16 @@ enum MetaCommand {
     AbortDecision { gtxn: GTxn },
     /// Record a database's SLA.
     SetSla { db: String, sla: Sla },
-    /// Raise the cross-colo fencing epoch (monotonic max). Proposed by the
-    /// georep promotion protocol: once a standby colo is promoted at epoch
-    /// `e`, every cluster whose local write authority is below `e` must
-    /// reject writes (see `ClusterController::fence_geo`).
-    SetGeoEpoch { epoch: u64 },
+    /// Raise a database's cross-colo fencing epoch (monotonic max), and with
+    /// `authorize` its write authority to match. Proposed by the georep
+    /// promotion protocol: once a standby copy of `db` is promoted at epoch
+    /// `e`, every cluster whose authority for `db` is below `e` must reject
+    /// writes to it (see `ClusterController::fence_geo`).
+    SetGeoEpoch {
+        db: String,
+        epoch: u64,
+        authorize: bool,
+    },
     /// Exactly-once envelope: `cmd` applies only if no entry with the same
     /// request id has applied before (a `submit` retry after an ambiguous
     /// leader change can commit the same proposal twice).
@@ -127,9 +132,10 @@ struct MetaState {
     claimed: BTreeSet<GTxn>,
     /// Database → SLA (the §4.1 contract table).
     slas: BTreeMap<String, Sla>,
-    /// Highest cross-colo fencing epoch this cluster has durably observed.
-    /// A cluster whose write authority is below this is fenced.
-    geo_epoch: u64,
+    /// Database → cross-colo epochs on this cluster: the highest fencing
+    /// epoch observed and the write authority held. A database whose
+    /// authority is below its observed epoch is fenced here.
+    geo: BTreeMap<String, GeoEpochs>,
     /// Request ids of applied `Tagged` envelopes. Ids are minted and all
     /// their proposals made under one held group lock, so in the committed
     /// log every entry of id `r` precedes every entry of any `r' > r` —
@@ -247,8 +253,16 @@ impl StateMachine for MetaState {
             MetaCommand::SetSla { db, sla } => {
                 self.slas.insert(db.clone(), *sla);
             }
-            MetaCommand::SetGeoEpoch { epoch } => {
-                self.geo_epoch = self.geo_epoch.max(*epoch);
+            MetaCommand::SetGeoEpoch {
+                db,
+                epoch,
+                authorize,
+            } => {
+                let e = self.geo.entry(db.clone()).or_default();
+                e.seen = e.seen.max(*epoch);
+                if *authorize {
+                    e.authority = e.seen;
+                }
             }
             MetaCommand::Tagged { req, cmd } => {
                 if !self.applied_reqs.contains(req) {
@@ -284,6 +298,23 @@ fn hash_cmd(cmd: &MetaCommand) -> u64 {
     let mut h = DefaultHasher::new();
     format!("{cmd:?}").hash(&mut h);
     h.finish()
+}
+
+/// One database's cross-colo epochs on a cluster (georep fencing).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GeoEpochs {
+    /// The highest fencing epoch observed for the database.
+    pub seen: u64,
+    /// The epoch at which this cluster last took write authority for it
+    /// (0 = the initial primary).
+    pub authority: u64,
+}
+
+impl GeoEpochs {
+    /// A newer copy holds write authority: writes here must be refused.
+    pub fn fenced(&self) -> bool {
+        self.seen > self.authority
+    }
 }
 
 /// A point-in-time view of the controller group (`\ctrl status` in the
@@ -875,14 +906,21 @@ impl ControllerGroup {
         })
     }
 
-    /// Raise the fencing epoch to at least `epoch` (monotonic: a stale
-    /// proposal can never lower it) and return the post-apply value. The
-    /// quorum round matters: once this returns, no minority partition of
-    /// *this* controller group can serve an un-fenced write authority.
-    pub(crate) fn set_geo_epoch(&self, epoch: u64) -> Result<u64> {
+    /// Raise `db`'s fencing epoch to at least `epoch` (monotonic: a stale
+    /// proposal can never lower it) — with `authorize`, also take write
+    /// authority at it — and return the post-apply epochs. The quorum round
+    /// matters: once this returns, no minority partition of *this*
+    /// controller group can serve an un-fenced write authority.
+    pub(crate) fn set_geo_epoch(&self, db: &str, epoch: u64, authorize: bool) -> Result<GeoEpochs> {
         self.submit_full(
-            |_| Ok(MetaCommand::SetGeoEpoch { epoch }),
-            |st| st.geo_epoch,
+            |_| {
+                Ok(MetaCommand::SetGeoEpoch {
+                    db: db.to_string(),
+                    epoch,
+                    authorize,
+                })
+            },
+            |st| st.geo.get(db).copied().unwrap_or_default(),
         )
         .result
     }
@@ -938,9 +976,9 @@ impl ControllerGroup {
         self.read(|st| st.slas.get(db).copied())
     }
 
-    /// The highest durably-observed cross-colo fencing epoch.
-    pub(crate) fn geo_epoch(&self) -> u64 {
-        self.read(|st| st.geo_epoch)
+    /// `db`'s durably-observed cross-colo epochs (zeros if never set).
+    pub(crate) fn geo_epochs(&self, db: &str) -> GeoEpochs {
+        self.read(|st| st.geo.get(db).copied().unwrap_or_default())
     }
 
     // ----------------------------------------------------------- failover
@@ -1395,12 +1433,14 @@ mod tests {
     #[test]
     fn geo_epoch_is_monotonic_and_replicated() {
         let g = group(3);
-        assert_eq!(g.geo_epoch(), 0);
-        assert_eq!(g.set_geo_epoch(3).unwrap(), 3);
+        assert_eq!(g.set_geo_epoch("a", 3, false).unwrap().seen, 3);
         // A stale (lower) proposal never lowers it.
-        assert_eq!(g.set_geo_epoch(1).unwrap(), 3);
+        assert_eq!(g.set_geo_epoch("a", 1, false).unwrap().seen, 3);
         g.crash_leader().unwrap();
-        assert_eq!(g.geo_epoch(), 3);
+        assert!(g.geo_epochs("a").fenced());
+        // Authority is taken at the observed epoch; b is untouched.
+        assert_eq!(g.set_geo_epoch("a", 1, true).unwrap().authority, 3);
+        assert_eq!(g.geo_epochs("b"), GeoEpochs::default());
     }
 
     #[test]

@@ -125,12 +125,13 @@ impl Colo {
     /// machines are chosen by SLA-driven First-Fit when a demand vector is
     /// known (Algorithm 2), falling back to fewest-databases otherwise; the
     /// placer pulls fresh machines from the colo's free pool on demand.
+    /// Returns the hosting cluster.
     pub fn create_database(
         &self,
         db: &str,
         replicas: usize,
         demand: Option<ResourceVector>,
-    ) -> Result<(), ClusterError> {
+    ) -> Result<Arc<ClusterController>, ClusterError> {
         if self.is_failed() {
             return Err(ClusterError::NoMachines);
         }
@@ -180,7 +181,7 @@ impl Colo {
             }
         }
         self.assignments.write().insert(db.to_string(), idx);
-        Ok(())
+        Ok(Arc::clone(&slot.controller))
     }
 
     /// Total machines across clusters (capacity reporting).

@@ -5,8 +5,10 @@
 //!
 //! * [`SystemController`] — routes clients to the nearest live colo, owns
 //!   the database directory and SLAs, and pumps asynchronous cross-colo
-//!   replication (strong guarantees inside a colo, bounded-loss disaster
-//!   recovery across colos).
+//!   replication (strong guarantees inside a colo; across colos a disaster
+//!   loses what the DR copy has not acked).
+//! * [`georep`] — that replication: each database's WAL shipped to its DR
+//!   copy, epoch-fenced promotion, and in-doubt 2PC reconciliation.
 //! * [`Colo`] / colo controller — clusters plus a free machine pool;
 //!   databases placed on the least-loaded cluster, machines within a
 //!   cluster chosen by SLA-driven First-Fit when a demand vector is known.
@@ -27,11 +29,14 @@
 //! let r = conn.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
 //! assert_eq!(r.rows[0][0], Value::Int(1));
 //!
-//! // Pump the asynchronous DR replication.
+//! // Pump the asynchronous DR replication: ship the WAL to the east colo.
+//! assert!(platform.replication_lag("myapp") > 0);
 //! platform.ship_all();
+//! assert_eq!(platform.replication_lag("myapp"), 0);
 //! ```
 
 pub mod colo;
+pub mod georep;
 pub mod shard;
 pub mod system;
 

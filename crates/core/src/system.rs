@@ -1,25 +1,26 @@
 //! The system controller and the platform-level client API (§2).
 //!
 //! The system controller routes `connect()` calls to the geographically
-//! nearest live colo hosting the database, and maintains the asynchronous
-//! cross-colo replication used for disaster recovery: writes committed at
-//! the primary colo are shipped (with bounded lag) to a secondary colo in
-//! another location. Within a colo the guarantees are strong (synchronous
-//! replication + 2PC); across colos they are deliberately weaker — a colo
-//! failover can lose the unshipped tail, which the paper accepts for low
-//! latency.
+//! nearest live colo hosting the database, and keeps each database's
+//! asynchronous cross-colo copy for disaster recovery: the primary
+//! cluster's WAL is shipped through one [`GeoLink`] per database to the
+//! DR copy in another colo whenever the operator pumps [`SystemController::ship`].
+//! Within a colo the guarantees are strong (synchronous replication + 2PC);
+//! across colos they are deliberately weaker — a colo failover loses the
+//! records the DR copy has not acked, which the paper accepts for low
+//! latency. The unshipped backlog is the WAL the engines already keep, so
+//! client writes carry no capture cost.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use tenantdb_cluster::{ClusterConfig, ClusterError, Connection};
+use tenantdb_cluster::{ClusterConfig, ClusterController, ClusterError, Connection};
 use tenantdb_sla::{ResourceVector, Sla};
-use tenantdb_sql::{QueryResult, Statement};
-use tenantdb_storage::Value;
 
 use crate::colo::{Colo, ColoId};
+use crate::georep::{promote, Applier, GeoLink, GeoMetrics, Shipper};
 
 /// Platform construction parameters.
 #[derive(Debug, Clone)]
@@ -74,16 +75,11 @@ impl Default for CreateOptions {
     }
 }
 
-/// One captured statement with its parameters, ready to replay at the
-/// secondary colo.
-type ShipItem = (Arc<Statement>, Arc<Vec<Value>>);
-
 struct DbEntry {
     primary: ColoId,
-    secondary: Option<ColoId>,
     sla: Sla,
-    /// Committed-but-unshipped write batches (one entry per transaction).
-    ship_queue: Mutex<VecDeque<Vec<ShipItem>>>,
+    /// The DR copy's colo and the stream from the primary cluster to it.
+    dr: Option<(ColoId, Mutex<GeoLink>)>,
 }
 
 /// The system controller: the top of the §2 hierarchy.
@@ -151,29 +147,38 @@ impl SystemController {
         let primary = self
             .nearest_colo(owner_location, None)
             .ok_or(ClusterError::NoMachines)?;
-        primary.create_database(name, opts.replicas, opts.demand)?;
-        let secondary = if opts.cross_colo {
-            match self.nearest_colo(owner_location, Some(primary.id)) {
-                Some(colo) => {
-                    // The DR copy is a single asynchronous replica.
-                    colo.create_database(name, 1, opts.demand)?;
-                    Some(colo.id)
-                }
-                None => None,
+        let cluster = primary.create_database(name, opts.replicas, opts.demand)?;
+        let dr = match self.nearest_colo(owner_location, Some(primary.id)) {
+            Some(colo) if opts.cross_colo => {
+                // The DR copy is a single asynchronous replica.
+                let copy = colo.create_database(name, 1, opts.demand)?;
+                Some((colo.id, Mutex::new(Self::dr_link(name, cluster, copy)?)))
             }
-        } else {
-            None
+            _ => None,
         };
         self.directory.write().insert(
             name.to_string(),
             Arc::new(DbEntry {
                 primary: primary.id,
-                secondary,
                 sla: opts.sla,
-                ship_queue: Mutex::new(VecDeque::new()),
+                dr,
             }),
         );
         Ok(primary.id)
+    }
+
+    /// `db`'s DR stream: a [`Shipper`] pinned on the primary cluster,
+    /// streaming to an [`Applier`] on the DR copy's cluster, with metrics
+    /// on the primary's registry.
+    fn dr_link(
+        db: &str,
+        primary: Arc<ClusterController>,
+        dr: Arc<ClusterController>,
+    ) -> Result<GeoLink, ClusterError> {
+        let metrics = GeoMetrics::new(Arc::clone(primary.metrics().registry()));
+        let shipper = Shipper::new(primary, db, metrics.clone())?;
+        let applier = Arc::new(Mutex::new(Applier::new(dr, db, 1, metrics.clone())));
+        Ok(GeoLink::new(shipper, applier, metrics))
     }
 
     pub fn sla(&self, db: &str) -> Option<Sla> {
@@ -185,133 +190,113 @@ impl SystemController {
     }
 
     pub fn secondary_colo(&self, db: &str) -> Option<ColoId> {
-        self.directory.read().get(db).and_then(|e| e.secondary)
+        self.directory
+            .read()
+            .get(db)?
+            .dr
+            .as_ref()
+            .map(|(id, _)| *id)
+    }
+
+    fn entry(&self, db: &str) -> Result<Arc<DbEntry>, ClusterError> {
+        self.directory
+            .read()
+            .get(db)
+            .cloned()
+            .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))
+    }
+
+    /// The cluster hosting `db` in colo `id`, if that colo is up.
+    fn live_cluster(&self, id: ColoId, db: &str) -> Option<Arc<ClusterController>> {
+        self.colo(id).filter(|c| !c.is_failed())?.cluster_for(db)
     }
 
     /// Connect to a database (§2 API point 2). Routed to the primary colo's
     /// hosting cluster; `client_location` is used only to pick among
     /// replicas of equal standing (here: validation + future use).
     pub fn connect(
-        self: &Arc<Self>,
+        &self,
         db: &str,
         _client_location: (f64, f64),
     ) -> Result<PlatformConnection, ClusterError> {
-        let entry = self
-            .directory
-            .read()
-            .get(db)
-            .cloned()
-            .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))?;
-        let colo = self
-            .colo(entry.primary)
-            .filter(|c| !c.is_failed())
+        let entry = self.entry(db)?;
+        let cluster = self
+            .live_cluster(entry.primary, db)
             .ok_or(ClusterError::NoMachines)?;
-        let cluster = colo
-            .cluster_for(db)
-            .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))?;
-        let inner = cluster.connect(db)?;
-        Ok(PlatformConnection {
-            system: Arc::clone(self),
-            entry,
-            db: db.to_string(),
-            inner,
-            pending: Mutex::new(Vec::new()),
-        })
+        cluster.connect(db)
     }
 
-    /// Ship every queued write batch of `db` to its secondary colo. Returns
-    /// the number of transactions shipped. This is the asynchronous
+    /// Ship `db`'s WAL to its DR copy until the stream is drained. Returns
+    /// the number of `db`'s WAL records delivered. This is the asynchronous
     /// replication pump; call it periodically (or via
-    /// [`SystemController::ship_all`]).
+    /// [`SystemController::ship_all`]). Ships nothing while either colo is
+    /// down.
     pub fn ship(&self, db: &str) -> Result<usize, ClusterError> {
-        let entry = self
-            .directory
-            .read()
-            .get(db)
-            .cloned()
-            .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))?;
-        let Some(secondary) = entry.secondary else {
+        let entry = self.entry(db)?;
+        let Some((secondary, link)) = &entry.dr else {
             return Ok(0);
         };
-        let Some(colo) = self.colo(secondary).filter(|c| !c.is_failed()) else {
+        if self.live_cluster(entry.primary, db).is_none()
+            || self.live_cluster(*secondary, db).is_none()
+        {
             return Ok(0);
-        };
-        let cluster = colo
-            .cluster_for(db)
-            .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))?;
-        let conn = cluster.connect(db)?;
-        let mut shipped = 0;
-        loop {
-            let Some(batch) = entry.ship_queue.lock().pop_front() else {
-                break;
-            };
-            let is_ddl = |s: &Statement| {
-                matches!(
-                    s,
-                    Statement::CreateTable { .. } | Statement::CreateIndex { .. }
-                )
-            };
-            if batch.iter().any(|(s, _)| is_ddl(s)) {
-                // DDL ships auto-committed (it is never mixed into a client
-                // transaction batch in the first place).
-                for (stmt, params) in &batch {
-                    conn.execute_parsed(stmt, Arc::clone(params))?;
-                }
-            } else {
-                conn.begin()?;
-                for (stmt, params) in &batch {
-                    conn.execute_parsed(stmt, Arc::clone(params))?;
-                }
-                conn.commit()?;
-            }
-            shipped += 1;
         }
-        Ok(shipped)
+        let shipped = link.lock().sync()?;
+        Ok(shipped as usize)
     }
 
-    /// Ship every database's queue.
+    /// Ship every database's WAL; returns the records delivered.
     pub fn ship_all(&self) -> usize {
         let dbs: Vec<String> = self.directory.read().keys().cloned().collect();
         dbs.iter().map(|db| self.ship(db).unwrap_or(0)).sum()
     }
 
-    /// Transactions committed at the primary but not yet shipped (the data
-    /// a disaster would lose right now).
+    /// Source WAL records the DR copy has not acked (what a disaster would
+    /// lose right now, as an upper bound: the primary engine's WAL also
+    /// holds its other databases' records). 0 right after a
+    /// [`SystemController::ship`], and for databases without a DR copy.
     pub fn replication_lag(&self, db: &str) -> usize {
-        self.directory
-            .read()
-            .get(db)
-            .map(|e| e.ship_queue.lock().len())
-            .unwrap_or(0)
+        let Ok(entry) = self.entry(db) else {
+            return 0;
+        };
+        entry
+            .dr
+            .as_ref()
+            .map_or(0, |(_, link)| link.lock().lag() as usize)
     }
 
-    /// Disaster failover: promote the secondary colo to primary for `db`.
-    /// Unshipped transactions are lost (returned as the loss count) — the
-    /// §2 trade-off of asynchronous cross-colo replication.
+    /// Disaster failover: promote the DR copy of `db` to primary, then flip
+    /// the directory to it. On a live old primary cluster `db` is fenced
+    /// first (every write to it there then fails with
+    /// [`ClusterError::Fenced`]; reads, and the cluster's other databases,
+    /// stay up); a failed one fences itself on its next stream exchange.
+    /// Records the DR copy never acked are lost; returns their count (the
+    /// replication lag at failover) — the §2 trade-off of asynchronous
+    /// cross-colo replication. A failed promotion leaves the stream in
+    /// place, so the call can be retried.
     pub fn failover(&self, db: &str) -> Result<usize, ClusterError> {
-        let dir = self.directory.read();
-        let entry = dir
-            .get(db)
-            .cloned()
-            .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))?;
-        drop(dir);
-        let secondary = entry.secondary.ok_or(ClusterError::NoMachines)?;
-        let lost = entry.ship_queue.lock().len();
-        entry.ship_queue.lock().clear();
+        let entry = self.entry(db)?;
+        let (secondary, link) = entry.dr.as_ref().ok_or(ClusterError::NoMachines)?;
+        let standby = self
+            .live_cluster(*secondary, db)
+            .ok_or(ClusterError::NoMachines)?;
+        let (lost, applier) = {
+            let link = link.lock();
+            (
+                link.shipper().lag(link.acked())?,
+                Arc::clone(link.standby()),
+            )
+        };
+        let old_primary = self.live_cluster(entry.primary, db);
+        let metrics = GeoMetrics::new(Arc::clone(standby.metrics().registry()));
+        promote(db, &standby, old_primary.as_ref(), &[applier], &metrics)?;
         let new_entry = Arc::new(DbEntry {
-            primary: secondary,
-            secondary: None,
+            primary: *secondary,
             sla: entry.sla,
-            ship_queue: Mutex::new(VecDeque::new()),
+            dr: None,
         });
         self.directory.write().insert(db.to_string(), new_entry);
-        Ok(lost)
-    }
-
-    fn enqueue_batch(&self, entry: &DbEntry, batch: Vec<ShipItem>) {
-        if entry.secondary.is_some() && !batch.is_empty() {
-            entry.ship_queue.lock().push_back(batch);
-        }
+        Ok(lost as usize)
     }
 
     /// Platform-wide metrics scrape: every cluster's text exposition,
@@ -370,97 +355,15 @@ fn dist(a: (f64, f64), b: (f64, f64)) -> f64 {
     (dx * dx + dy * dy).sqrt()
 }
 
-/// A platform-level connection: wraps a cluster connection at the primary
-/// colo and captures committed write statements for asynchronous shipping
-/// to the DR colo.
-pub struct PlatformConnection {
-    system: Arc<SystemController>,
-    entry: Arc<DbEntry>,
-    db: String,
-    inner: Connection,
-    pending: Mutex<Vec<ShipItem>>,
-}
-
-impl PlatformConnection {
-    pub fn database(&self) -> &str {
-        &self.db
-    }
-
-    pub fn begin(&self) -> Result<(), ClusterError> {
-        self.pending.lock().clear();
-        self.inner.begin()
-    }
-
-    pub fn execute(&self, sql: &str, params: &[Value]) -> Result<QueryResult, ClusterError> {
-        let stmt = Arc::new(tenantdb_sql::parse(sql)?);
-        let params = Arc::new(params.to_vec());
-        let implicit = !self.inner.in_txn();
-        let r = self.inner.execute_parsed(&stmt, Arc::clone(&params))?;
-        let is_write = matches!(
-            *stmt,
-            Statement::Insert { .. }
-                | Statement::Update { .. }
-                | Statement::Delete { .. }
-                | Statement::CreateTable { .. }
-                | Statement::CreateIndex { .. }
-        );
-        if is_write {
-            if implicit {
-                // Auto-committed write: ship as its own batch.
-                self.system.enqueue_batch(&self.entry, vec![(stmt, params)]);
-            } else {
-                self.pending.lock().push((stmt, params));
-            }
-        }
-        Ok(r)
-    }
-
-    pub fn commit(&self) -> Result<(), ClusterError> {
-        self.inner.commit()?;
-        let batch = std::mem::take(&mut *self.pending.lock());
-        self.system.enqueue_batch(&self.entry, batch);
-        Ok(())
-    }
-
-    pub fn rollback(&self) -> Result<(), ClusterError> {
-        self.pending.lock().clear();
-        self.inner.rollback()
-    }
-
-    /// The underlying cluster connection (advanced use).
-    pub fn cluster_connection(&self) -> &Connection {
-        &self.inner
-    }
-}
-
-/// Platform connections are a [`Transport`](tenantdb_cluster::Transport):
-/// workload drivers generic over the trait run identically against a
-/// cluster connection, a platform connection, or the TCP client.
-impl tenantdb_cluster::Transport for PlatformConnection {
-    fn begin(&self) -> Result<(), ClusterError> {
-        PlatformConnection::begin(self)
-    }
-
-    fn execute(&self, sql: &str, params: &[Value]) -> Result<QueryResult, ClusterError> {
-        PlatformConnection::execute(self, sql, params)
-    }
-
-    fn commit(&self) -> Result<(), ClusterError> {
-        PlatformConnection::commit(self)
-    }
-
-    fn rollback(&self) -> Result<(), ClusterError> {
-        PlatformConnection::rollback(self)
-    }
-
-    fn in_txn(&self) -> bool {
-        self.inner.in_txn()
-    }
-}
+/// A platform-level connection: a cluster connection at the primary colo.
+/// Writes reach the DR colo through the WAL, so the platform adds nothing
+/// to the statement path.
+pub type PlatformConnection = Connection;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tenantdb_storage::Value;
 
     const WEST: (f64, f64) = (0.0, 0.0);
     const EAST: (f64, f64) = (100.0, 0.0);
@@ -487,88 +390,99 @@ mod tests {
     #[test]
     fn end_to_end_sql_through_platform() {
         let p = platform();
-        p.create_database("notes", WEST, CreateOptions::default())
-            .unwrap();
-        let conn = p.connect("notes", WEST).unwrap();
-        conn.execute(
-            "CREATE TABLE n (id INT NOT NULL, body TEXT, PRIMARY KEY (id))",
-            &[],
-        )
-        .unwrap();
+        let conn = with_table(&p, "notes");
         conn.begin().unwrap();
-        conn.execute("INSERT INTO n VALUES (1, 'hello')", &[])
+        conn.execute("INSERT INTO t VALUES (1, 'hello')", &[])
             .unwrap();
         conn.commit().unwrap();
-        let r = conn
-            .execute("SELECT body FROM n WHERE id = 1", &[])
-            .unwrap();
+        let r = conn.execute("SELECT v FROM t WHERE id = 1", &[]).unwrap();
         assert_eq!(r.rows[0][0], Value::from("hello"));
     }
 
-    #[test]
-    fn async_replication_ships_committed_writes() {
-        let p = platform();
-        p.create_database("app", WEST, CreateOptions::default())
+    /// Ids in `db`'s table `t` on the cluster hosting it in colo `id`
+    /// (the DR copy before a failover).
+    fn ids_in(p: &SystemController, id: ColoId, db: &str) -> Vec<i64> {
+        let cluster = p.colo(id).unwrap().cluster_for(db).unwrap();
+        let r = cluster
+            .connect(db)
+            .unwrap()
+            .execute("SELECT id FROM t ORDER BY id", &[])
             .unwrap();
-        let conn = p.connect("app", WEST).unwrap();
+        r.rows.iter().map(|row| row[0].as_i64().unwrap()).collect()
+    }
+
+    fn with_table(p: &SystemController, db: &str) -> PlatformConnection {
+        p.create_database(db, WEST, CreateOptions::default())
+            .unwrap();
+        let conn = p.connect(db, WEST).unwrap();
         conn.execute(
             "CREATE TABLE t (id INT NOT NULL, v TEXT, PRIMARY KEY (id))",
             &[],
         )
         .unwrap();
+        conn
+    }
+
+    #[test]
+    fn async_replication_ships_committed_writes() {
+        let p = platform();
+        let conn = with_table(&p, "app");
         conn.begin().unwrap();
         conn.execute("INSERT INTO t VALUES (1, 'a')", &[]).unwrap();
         conn.execute("INSERT INTO t VALUES (2, 'b')", &[]).unwrap();
         conn.commit().unwrap();
-        // DDL batch + one txn batch queued.
-        assert!(p.replication_lag("app") >= 1);
-        let shipped = p.ship("app").unwrap();
-        assert!(shipped >= 1);
+        assert!(p.replication_lag("app") > 0);
+        assert!(p.ship("app").unwrap() > 0);
         assert_eq!(p.replication_lag("app"), 0);
         // The secondary colo now has the rows.
-        let east = p.colo(ColoId(1)).unwrap();
-        let cluster = east.cluster_for("app").unwrap();
-        let c2 = cluster.connect("app").unwrap();
-        let r = c2.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(2));
+        assert_eq!(ids_in(&p, ColoId(1), "app"), vec![1, 2]);
     }
 
     #[test]
     fn rolled_back_writes_are_not_shipped() {
         let p = platform();
-        p.create_database("app", WEST, CreateOptions::default())
-            .unwrap();
-        let conn = p.connect("app", WEST).unwrap();
-        conn.execute("CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))", &[])
-            .unwrap();
-        let base = p.replication_lag("app");
+        let conn = with_table(&p, "app");
+        conn.execute("INSERT INTO t VALUES (1, 'a')", &[]).unwrap();
         conn.begin().unwrap();
-        conn.execute("INSERT INTO t VALUES (1)", &[]).unwrap();
+        conn.execute("INSERT INTO t VALUES (2, 'b')", &[]).unwrap();
         conn.rollback().unwrap();
-        assert_eq!(p.replication_lag("app"), base, "aborted txn must not ship");
+        p.ship("app").unwrap();
+        assert_eq!(p.replication_lag("app"), 0);
+        assert_eq!(
+            ids_in(&p, ColoId(1), "app"),
+            vec![1],
+            "aborted txn must not ship"
+        );
     }
 
     #[test]
     fn colo_failover_loses_only_unshipped_tail() {
         let p = platform();
-        p.create_database("app", WEST, CreateOptions::default())
-            .unwrap();
-        let conn = p.connect("app", WEST).unwrap();
-        conn.execute("CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))", &[])
-            .unwrap();
-        conn.execute("INSERT INTO t VALUES (1)", &[]).unwrap();
+        let conn = with_table(&p, "app");
+        conn.execute("INSERT INTO t VALUES (1, 'a')", &[]).unwrap();
         p.ship("app").unwrap();
         // One more committed txn that never ships.
-        conn.execute("INSERT INTO t VALUES (2)", &[]).unwrap();
+        conn.execute("INSERT INTO t VALUES (2, 'b')", &[]).unwrap();
+        assert!(p.replication_lag("app") > 0);
         // Disaster strikes the west colo.
         p.colo(ColoId(0)).unwrap().fail();
-        let lost = p.failover("app").unwrap();
-        assert_eq!(lost, 1, "exactly the unshipped tail is lost");
+        assert!(p.failover("app").unwrap() > 0, "the unshipped tail is lost");
         assert_eq!(p.primary_colo("app"), Some(ColoId(1)));
-        // Clients reconnect and see the shipped prefix.
+        // Clients reconnect and see exactly the shipped prefix.
         let conn2 = p.connect("app", WEST).unwrap();
-        let r = conn2.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(1));
+        let r = conn2.execute("SELECT id FROM t", &[]).unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(1)]]);
+        conn2.execute("INSERT INTO t VALUES (3, 'c')", &[]).unwrap();
+    }
+
+    #[test]
+    fn failover_before_any_ship_reports_the_whole_backlog_lost() {
+        let p = platform();
+        let conn = with_table(&p, "app");
+        conn.execute("INSERT INTO t VALUES (1, 'a')", &[]).unwrap();
+        p.colo(ColoId(0)).unwrap().fail();
+        assert!(p.replication_lag("app") > 0);
+        assert!(p.failover("app").unwrap() > 0, "nothing ever shipped");
     }
 
     #[test]
@@ -580,6 +494,91 @@ mod tests {
         assert!(p.connect("app", WEST).is_err());
         p.failover("app").unwrap();
         assert!(p.connect("app", WEST).is_ok());
+    }
+
+    /// One 2-machine cluster per colo: every tenant's replicas share the
+    /// primary engines (and its DR copy the one DR cluster).
+    fn shared_platform() -> Arc<SystemController> {
+        let cfg = PlatformConfig {
+            clusters_per_colo: 1,
+            machines_per_cluster: 2,
+            ..PlatformConfig::for_tests()
+        };
+        SystemController::new(cfg, &[("west", WEST), ("east", EAST)])
+    }
+
+    #[test]
+    fn tenants_sharing_a_primary_engine_ship_only_their_own_rows() {
+        // Each stream filters the other tenant's records.
+        let p = shared_platform();
+        let a = with_table(&p, "a");
+        let b = with_table(&p, "b");
+        a.execute("CREATE INDEX t_v ON t (v)", &[]).unwrap();
+        for i in 0..5 {
+            a.execute("INSERT INTO t VALUES (?, 'a')", &[Value::Int(i)])
+                .unwrap();
+            b.execute("INSERT INTO t VALUES (?, 'b')", &[Value::Int(100 + i)])
+                .unwrap();
+        }
+        p.ship("a").unwrap();
+        p.ship("b").unwrap();
+        assert_eq!(p.replication_lag("a"), 0);
+        assert_eq!(p.replication_lag("b"), 0);
+        assert_eq!(ids_in(&p, ColoId(1), "a"), vec![0, 1, 2, 3, 4]);
+        assert_eq!(ids_in(&p, ColoId(1), "b"), vec![100, 101, 102, 103, 104]);
+
+        // The index reached a's DR copy, and only a's.
+        let dr = p.colo(ColoId(1)).unwrap().cluster_for("a").unwrap();
+        let engine = &dr
+            .machine(dr.alive_replicas("a").unwrap()[0])
+            .unwrap()
+            .engine;
+        let txn = engine.begin().unwrap();
+        let hits = engine.index_lookup(txn, "a", "t", "t_v", &[Value::from("a")], false);
+        assert_eq!(hits.unwrap().len(), 5);
+        assert!(engine
+            .index_lookup(txn, "b", "t", "t_v", &[Value::from("b")], false)
+            .is_err());
+        engine.commit(txn).unwrap();
+    }
+
+    #[test]
+    fn failover_with_primary_colo_up_fences_the_old_primary() {
+        let p = shared_platform();
+        let conn = with_table(&p, "app");
+        let b = with_table(&p, "b");
+        conn.execute("INSERT INTO t VALUES (1, 'a')", &[]).unwrap();
+        p.ship("app").unwrap();
+        let old = p.colo(ColoId(0)).unwrap().cluster_for("app").unwrap();
+        assert!(Arc::ptr_eq(
+            &old,
+            &p.colo(ColoId(0)).unwrap().cluster_for("b").unwrap()
+        ));
+        assert_eq!(p.failover("app").unwrap(), 0, "nothing unshipped");
+        assert!(old.is_geo_fenced("app"));
+
+        // The old primary refuses writes but still serves reads.
+        let stale = old.connect("app").unwrap();
+        assert!(matches!(
+            stale.execute("INSERT INTO t VALUES (2, 'b')", &[]),
+            Err(ClusterError::Fenced { .. })
+        ));
+        assert_eq!(ids_in(&p, ColoId(0), "app"), vec![1]);
+
+        // The promoted copy takes the writes.
+        let conn = p.connect("app", WEST).unwrap();
+        conn.execute("INSERT INTO t VALUES (2, 'b')", &[]).unwrap();
+        assert_eq!(ids_in(&p, ColoId(1), "app"), vec![1, 2]);
+
+        // The fence is app's alone: b, on the same clusters, still writes
+        // on the old primary and ships to the promoted cluster.
+        assert!(!old.is_geo_fenced("b"));
+        b.execute("INSERT INTO t VALUES (7, 'b')", &[]).unwrap();
+        b.execute("CREATE INDEX t_v ON t (v)", &[]).unwrap();
+        assert!(p.replication_lag("b") > 0);
+        assert!(p.ship("b").unwrap() > 0);
+        assert_eq!(p.replication_lag("b"), 0);
+        assert_eq!(ids_in(&p, ColoId(1), "b"), vec![7]);
     }
 
     #[test]

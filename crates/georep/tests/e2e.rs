@@ -11,6 +11,7 @@
 //! * **planned failover** — the fenced old primary rejects every write
 //!   shape (DML, DDL, database create) while reads stay up, and the stale
 //!   stream is fenced at its next handshake;
+//! * **sever and resume** — a dropped connection resumes from the ack;
 //! * **crash-point resilience** — `GeoShipBatch` and `GeoApplyBatch`
 //!   crashes sever the stream without losing or duplicating records: the
 //!   next sync resumes from the cumulative ack.
@@ -19,8 +20,9 @@ use std::sync::Arc;
 
 use tenantdb_cluster::fault::{CrashPoint, FaultAction, FaultPlan, Trigger, GEO};
 use tenantdb_cluster::{ClusterConfig, ClusterController};
-use tenantdb_georep::{promote, GeoError, GeoMetrics, GeoStandbyServer, GeoTcpLink, Shipper};
+use tenantdb_georep::{GeoStandbyServer, GeoTcpLink, TcpStandby};
 use tenantdb_obs::MetricsRegistry;
+use tenantdb_platform::georep::{promote, GeoError, GeoMetrics, Shipper};
 use tenantdb_platform::{Colo, ColoId};
 use tenantdb_sla::ResourceVector;
 use tenantdb_storage::Value;
@@ -37,8 +39,26 @@ fn colo(id: u32, name: &str) -> Colo {
     )
 }
 
-fn metrics() -> GeoMetrics {
-    GeoMetrics::new(Arc::new(MetricsRegistry::new()))
+/// A TCP stream for `app` from `primary` to a standby server on `standby`.
+fn tcp_stream(
+    primary: &Arc<ClusterController>,
+    standby: &Arc<ClusterController>,
+) -> (GeoStandbyServer, GeoTcpLink, GeoMetrics) {
+    let m = GeoMetrics::new(Arc::new(MetricsRegistry::new()));
+    let server = GeoStandbyServer::serve(Arc::clone(standby), 2, m.clone()).unwrap();
+    let shipper = Shipper::new(Arc::clone(primary), "app", m.clone()).unwrap();
+    let link = GeoTcpLink::new(shipper, TcpStandby::new(server.addr()), m.clone());
+    (server, link, m)
+}
+
+/// The east colo hosting `app` (with an `orders` table), its cluster, and
+/// the west colo's standby cluster.
+fn two_colos() -> (Colo, Arc<ClusterController>, Arc<ClusterController>) {
+    let east = colo(0, "east");
+    let primary = east.create_database("app", 2, None).unwrap();
+    let orders = "CREATE TABLE orders (id INT NOT NULL, item TEXT, PRIMARY KEY (id))";
+    primary.ddl("app", orders).unwrap();
+    (east, primary, colo(1, "west").clusters().remove(0))
 }
 
 fn count(c: &Arc<ClusterController>, db: &str, table: &str) -> i64 {
@@ -52,28 +72,36 @@ fn count(c: &Arc<ClusterController>, db: &str, table: &str) -> i64 {
     }
 }
 
+/// A plain loopback stream replicates, drains to zero lag, and resumes
+/// over a fresh connection after a sever.
+#[test]
+fn tcp_link_replicates_over_loopback() {
+    let (_east, primary, standby) = two_colos();
+    let (server, mut link, _) = tcp_stream(&primary, &standby);
+    let conn = primary.connect("app").unwrap();
+    for i in 0..10 {
+        conn.execute(&format!("INSERT INTO orders VALUES ({i}, 'x')"), &[])
+            .unwrap();
+    }
+    link.sync().unwrap();
+    assert_eq!(count(&standby, "app", "orders"), 10);
+    assert_eq!(link.lag(), 0);
+    assert!(server.applier("app").is_some());
+
+    link.sever();
+    conn.execute("INSERT INTO orders VALUES (100, 'y')", &[])
+        .unwrap();
+    link.sync().unwrap();
+    assert_eq!(count(&standby, "app", "orders"), 11);
+}
+
 /// The headline invariant: after losing the primary colo, every commit the
 /// standby acknowledged is readable on the promoted standby, and the rows
 /// lost are bounded by the lag measured just before the disaster.
 #[test]
 fn acked_commits_survive_colo_loss_within_the_lag_bound() {
-    let east = colo(0, "east");
-    let west = colo(1, "west");
-    east.create_database("app", 2, None).unwrap();
-    let primary = east.cluster_for("app").unwrap();
-    let standby = west.clusters().remove(0);
-
-    let m = metrics();
-    let server = GeoStandbyServer::serve(Arc::clone(&standby), 2, m.clone()).unwrap();
-    let shipper = Shipper::new(Arc::clone(&primary), "app", m.clone()).unwrap();
-    let mut link = GeoTcpLink::new(shipper, server.addr(), m.clone());
-
-    primary
-        .ddl(
-            "app",
-            "CREATE TABLE orders (id INT NOT NULL, item TEXT, PRIMARY KEY (id))",
-        )
-        .unwrap();
+    let (east, primary, standby) = two_colos();
+    let (server, mut link, m) = tcp_stream(&primary, &standby);
     let conn = primary.connect("app").unwrap();
     // A TPC-W-ish write mix: the order book fills, some orders are amended,
     // a few are cancelled.
@@ -112,7 +140,7 @@ fn acked_commits_survive_colo_loss_within_the_lag_bound() {
     assert!(link.sync().is_err());
 
     // Promote the standby; the old primary is unreachable.
-    let out = promote(&standby, None, &server.appliers(), &m).unwrap();
+    let out = promote("app", &standby, None, &server.appliers(), &m).unwrap();
     assert_eq!(out.epoch, 1);
     assert!(!out.fenced_old_primary);
 
@@ -137,28 +165,13 @@ fn acked_commits_survive_colo_loss_within_the_lag_bound() {
     assert_eq!(count(&standby, "app", "orders"), 36);
 }
 
-/// Planned failover: the fence lands on the old primary, which then rejects
-/// every write shape while reads stay up, and the stale stream is killed
+/// Planned failover: the fence lands on the old primary's copy of the
+/// database, which then rejects every write shape while reads stay up, and the stale stream is killed
 /// with `GeoFenced` at its next handshake.
 #[test]
 fn planned_failover_fences_the_old_primary_but_reads_stay_up() {
-    let east = colo(0, "east");
-    let west = colo(1, "west");
-    east.create_database("app", 2, None).unwrap();
-    let primary = east.cluster_for("app").unwrap();
-    let standby = west.clusters().remove(0);
-
-    let m = metrics();
-    let server = GeoStandbyServer::serve(Arc::clone(&standby), 2, m.clone()).unwrap();
-    let shipper = Shipper::new(Arc::clone(&primary), "app", m.clone()).unwrap();
-    let mut link = GeoTcpLink::new(shipper, server.addr(), m.clone());
-
-    primary
-        .ddl(
-            "app",
-            "CREATE TABLE orders (id INT NOT NULL, item TEXT, PRIMARY KEY (id))",
-        )
-        .unwrap();
+    let (_east, primary, standby) = two_colos();
+    let (server, mut link, m) = tcp_stream(&primary, &standby);
     let conn = primary.connect("app").unwrap();
     for i in 0..20 {
         conn.execute(&format!("INSERT INTO orders VALUES ({i}, 'x')"), &[])
@@ -166,9 +179,9 @@ fn planned_failover_fences_the_old_primary_but_reads_stay_up() {
     }
     link.sync().unwrap();
 
-    let out = promote(&standby, Some(&primary), &server.appliers(), &m).unwrap();
+    let out = promote("app", &standby, Some(&primary), &server.appliers(), &m).unwrap();
     assert!(out.fenced_old_primary);
-    assert!(primary.is_geo_fenced());
+    assert!(primary.is_geo_fenced("app"));
 
     // Every write shape on the old primary is rejected with Fenced...
     let err = conn
@@ -179,8 +192,10 @@ fn planned_failover_fences_the_old_primary_but_reads_stay_up() {
         .ddl("app", "CREATE TABLE t2 (id INT NOT NULL, PRIMARY KEY (id))")
         .unwrap_err();
     assert!(err.is_fenced(), "DDL must be fenced, got {err}");
-    let err = primary.create_database("newdb", 1).unwrap_err();
-    assert!(err.is_fenced(), "database create must be fenced, got {err}");
+    let err = primary.drop_database("app").unwrap_err();
+    assert!(err.is_fenced(), "database drop must be fenced, got {err}");
+    // The fence is app's alone: the cluster still hosts new tenants.
+    primary.create_database("newdb", 1).unwrap();
 
     // ...but the read-only fallback stays up.
     assert_eq!(count(&primary, "app", "orders"), 20);
@@ -216,10 +231,7 @@ fn severed_and_crashed_batches_resume_from_the_cumulative_ack() {
     )
     .unwrap();
 
-    let m = metrics();
-    let server = GeoStandbyServer::serve(Arc::clone(&s), 2, m.clone()).unwrap();
-    let shipper = Shipper::new(Arc::clone(&p), "app", m.clone()).unwrap();
-    let mut link = GeoTcpLink::new(shipper, server.addr(), m.clone());
+    let (_server, mut link, m) = tcp_stream(&p, &s);
 
     let conn = p.connect("app").unwrap();
     for i in 0..5 {

@@ -1325,11 +1325,7 @@ impl Reactor {
                 DeadlineKind::Idle => {
                     // Busy or in-transaction sessions are never idle-reaped
                     // (idle-in-transaction is the txn timeout's job).
-                    let in_txn = st
-                        .platform
-                        .as_ref()
-                        .map(|p| p.cluster_connection().in_txn())
-                        .unwrap_or(false);
+                    let in_txn = st.platform.as_ref().map(|p| p.in_txn()).unwrap_or(false);
                     if st.scheduled || st.busy || in_txn {
                         st.last_activity = now; // re-base the idle clock
                         st.deadline_gen += 1;
@@ -1375,11 +1371,7 @@ impl Reactor {
         for conn in candidates {
             let retire = {
                 let st = conn.state.lock();
-                let in_txn = st
-                    .platform
-                    .as_ref()
-                    .map(|p| p.cluster_connection().in_txn())
-                    .unwrap_or(false);
+                let in_txn = st.platform.as_ref().map(|p| p.in_txn()).unwrap_or(false);
                 !in_txn && !st.scheduled && st.pending.is_empty() && st.outbox.is_empty()
             };
             if retire {
@@ -1521,11 +1513,7 @@ fn list_sessions(shared: &Shared) -> Vec<ConnInfo> {
                 id: c.id,
                 db: st.db.clone(),
                 peer: c.peer.clone(),
-                in_txn: st
-                    .platform
-                    .as_ref()
-                    .map(|p| p.cluster_connection().in_txn())
-                    .unwrap_or(false),
+                in_txn: st.platform.as_ref().map(|p| p.in_txn()).unwrap_or(false),
                 busy: st.busy,
                 idle_ms: st.last_activity.elapsed().as_millis() as u64,
             }
@@ -1581,11 +1569,7 @@ fn serve_conn(shared: &Shared, conn: &Arc<Conn>) {
                     // Graceful drain: an idle, transaction-free session
                     // retires at this frame boundary.
                     if shared.is_shutdown() {
-                        let in_txn = st
-                            .platform
-                            .as_ref()
-                            .map(|p| p.cluster_connection().in_txn())
-                            .unwrap_or(false);
+                        let in_txn = st.platform.as_ref().map(|p| p.in_txn()).unwrap_or(false);
                         if !in_txn && st.outbox.is_empty() {
                             drop(st);
                             shared.reactors[conn.reactor].send(Msg::Close(conn.id));
@@ -1671,12 +1655,11 @@ fn sever(shared: &Shared, conn: &Arc<Conn>) {
 /// through, and `Begin` self-gates inside the cluster connection. Returns
 /// the reply frame to send when the tenant is over rate, `None` to proceed.
 fn admission_shed(conn: &PlatformConnection, frame: &Frame) -> Option<Frame> {
-    let starts_txn = matches!(frame, Frame::Query { .. } | Frame::Batch { .. })
-        && !conn.cluster_connection().in_txn();
+    let starts_txn = matches!(frame, Frame::Query { .. } | Frame::Batch { .. }) && !conn.in_txn();
     if !starts_txn {
         return None;
     }
-    let error = conn.cluster_connection().admission_probe()?;
+    let error = conn.admission_probe()?;
     Some(match frame {
         Frame::Batch { seq, .. } => Frame::BatchErr {
             seq: *seq,
@@ -1745,7 +1728,7 @@ fn run_batch(
         match conn.execute(&s.sql, &s.params) {
             Ok(r) => out.push(r),
             Err(e) => {
-                if mode != BatchMode::Statements && conn.cluster_connection().in_txn() {
+                if mode != BatchMode::Statements && conn.in_txn() {
                     let _ = conn.rollback();
                 }
                 return Err((i as u32, e));

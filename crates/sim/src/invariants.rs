@@ -93,7 +93,7 @@ pub fn check_geo(
         violations.push(format!("geo durability: {e}"));
     }
     if let Some(p) = old_primary {
-        if !p.is_geo_fenced() {
+        if !p.is_geo_fenced(db) {
             violations.push("geo fencing: old primary is not fenced after promotion".to_string());
         }
         // Teeth: the fence must hold against an actual write attempt, not

@@ -19,11 +19,9 @@ use tenantdb_cluster::testkit;
 use tenantdb_cluster::{
     ClusterConfig, ClusterController, ClusterError, Connection, MachineId, ReadPolicy, WritePolicy,
 };
-use tenantdb_georep::{
-    promote, promote_without_fencing, Applier, GeoError, GeoLink, GeoMetrics, Shipper,
-};
 use tenantdb_history::Recorder;
 use tenantdb_obs::MetricsRegistry;
+use tenantdb_platform::georep::{promote, Applier, GeoError, GeoLink, GeoMetrics, Shipper};
 use tenantdb_sla::Sla;
 use tenantdb_storage::{Throttle, Value};
 
@@ -1126,7 +1124,6 @@ fn geo_pair() -> Result<
         Arc<ClusterController>,
         Arc<Recorder>,
         Arc<ClusterController>,
-        Arc<parking_lot::Mutex<Applier>>,
         GeoLink,
         GeoMetrics,
     ),
@@ -1136,14 +1133,13 @@ fn geo_pair() -> Result<
     let s = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
     let gm = GeoMetrics::new(Arc::new(MetricsRegistry::new()));
     let shipper = Shipper::new(Arc::clone(&p), "app", gm.clone()).map_err(|e| e.to_string())?;
-    let applier = Arc::new(parking_lot::Mutex::new(Applier::new(
-        Arc::clone(&s),
-        "app",
-        2,
+    let applier = Applier::new(Arc::clone(&s), "app", 2, gm.clone());
+    let link = GeoLink::new(
+        shipper,
+        Arc::new(parking_lot::Mutex::new(applier)),
         gm.clone(),
-    )));
-    let link = GeoLink::new(shipper, Arc::clone(&applier), gm.clone());
-    Ok((p, rec, s, applier, link, gm))
+    );
+    Ok((p, rec, s, link, gm))
 }
 
 fn geo_count(c: &Arc<ClusterController>, db: &str) -> Result<i64, String> {
@@ -1164,7 +1160,7 @@ fn geo_count(c: &Arc<ClusterController>, db: &str) -> Result<i64, String> {
 /// no duplicates.
 fn geo_colo_partition() -> Result<(), String> {
     let (read, write) = (ReadPolicy::PinnedReplica, WritePolicy::Conservative);
-    let (p, rec, s, _applier, mut link, _gm) = geo_pair()?;
+    let (p, rec, s, mut link, _gm) = geo_pair()?;
     let conn = p.connect("app").map_err(|e| e.to_string())?;
     let mut acked = Vec::new();
     for k in 0..8i64 {
@@ -1203,7 +1199,7 @@ fn geo_colo_partition() -> Result<(), String> {
 /// lag bound is exactly the unacked tail) and hand the new colo write
 /// authority.
 fn geo_lagging_standby_promotion() -> Result<(), String> {
-    let (p, _rec, s, applier, mut link, gm) = geo_pair()?;
+    let (p, _rec, s, mut link, gm) = geo_pair()?;
     let conn = p.connect("app").map_err(|e| e.to_string())?;
     let mut standby_acked = Vec::new();
     for k in 0..6i64 {
@@ -1227,7 +1223,8 @@ fn geo_lagging_standby_promotion() -> Result<(), String> {
         "the stream must sever when the source colo dies",
     )?;
 
-    let out = promote(&s, None, &[Arc::clone(&applier)], &gm).map_err(|e| e.to_string())?;
+    let out =
+        promote("app", &s, None, &[Arc::clone(link.standby())], &gm).map_err(|e| e.to_string())?;
     expect(out.epoch == 1, "first promotion must mint epoch 1")?;
     let geo = invariants::check_geo(&s, None, "app", "t", &standby_acked);
     expect(geo.is_empty(), &format!("geo invariant: {geo:?}"))?;
@@ -1249,10 +1246,11 @@ fn geo_lagging_standby_promotion() -> Result<(), String> {
 
 /// Planned failover: promotion fences the old primary (every write shape
 /// refused, reads still served) and kills the stale stream with
-/// `GeoFenced`. The teeth half re-runs the failover with fencing skipped
-/// and proves [`invariants::check_geo`] reports the split brain.
+/// `GeoFenced`. The teeth half re-runs the failover without handing the
+/// old primary to `promote` (so it is never fenced) and proves
+/// [`invariants::check_geo`] reports the split brain.
 fn geo_split_brain_fenced() -> Result<(), String> {
-    let (p, _rec, s, applier, mut link, gm) = geo_pair()?;
+    let (p, _rec, s, mut link, gm) = geo_pair()?;
     let conn = p.connect("app").map_err(|e| e.to_string())?;
     let mut standby_acked = Vec::new();
     for k in 0..10i64 {
@@ -1261,7 +1259,8 @@ fn geo_split_brain_fenced() -> Result<(), String> {
     }
     link.sync().map_err(|e| e.to_string())?;
 
-    let out = promote(&s, Some(&p), &[Arc::clone(&applier)], &gm).map_err(|e| e.to_string())?;
+    let out = promote("app", &s, Some(&p), &[Arc::clone(link.standby())], &gm)
+        .map_err(|e| e.to_string())?;
     expect(
         out.fenced_old_primary,
         "reachable old primary must be fenced",
@@ -1285,9 +1284,10 @@ fn geo_split_brain_fenced() -> Result<(), String> {
         other => return Err(format!("stale stream must be fenced, got {other:?}")),
     }
 
-    // Teeth: the same failover with fencing disabled must trip the checker
-    // — the old primary still takes writes, a split brain.
-    let (p2, _rec2, s2, applier2, mut link2, gm2) = geo_pair()?;
+    // Teeth: the same failover with the old primary left out of the
+    // promotion (never fenced) must trip the checker — it still takes
+    // writes, a split brain.
+    let (p2, _rec2, s2, mut link2, gm2) = geo_pair()?;
     let conn2 = p2.connect("app").map_err(|e| e.to_string())?;
     let mut acked2 = Vec::new();
     for k in 0..4i64 {
@@ -1295,8 +1295,7 @@ fn geo_split_brain_fenced() -> Result<(), String> {
         acked2.push(k);
     }
     link2.sync().map_err(|e| e.to_string())?;
-    promote_without_fencing(&s2, Some(&p2), &[Arc::clone(&applier2)], &gm2)
-        .map_err(|e| e.to_string())?;
+    promote("app", &s2, None, &[Arc::clone(link2.standby())], &gm2).map_err(|e| e.to_string())?;
     let teeth = invariants::check_geo(&s2, Some(&p2), "app", "t", &acked2);
     expect(
         teeth.iter().any(|v| v.contains("split-brain"))

@@ -1,241 +1,209 @@
-#![cfg(feature = "slow-proptests")]
+//! Randomized round-trip test: printing any generated statement yields SQL
+//! that reparses to the same printed form (print ∘ parse is a fixpoint on
+//! printer output). This pins the parser's precedence, quoting, and
+//! keyword handling against the serializer. Fixed-seed loops: a failure
+//! replays exactly.
 
-//! Property test: printing any generated statement yields SQL that reparses
-//! to the same printed form (print ∘ parse is a fixpoint on printer output).
-//! This pins the parser's precedence, quoting, and keyword handling against
-//! the serializer.
-
-use proptest::prelude::*;
+use rand::{Rng, SeedableRng, StdRng};
 
 use tenantdb_sql::ast::*;
 use tenantdb_sql::parse;
 use tenantdb_storage::Value;
 
-fn ident() -> impl Strategy<Value = String> {
-    // Avoid keywords; simple lowercase identifiers.
-    "[a-z][a-z0-9_]{0,6}".prop_filter("not a keyword", |s| {
-        !matches!(
-            s.as_str(),
-            "select"
-                | "from"
-                | "where"
-                | "group"
-                | "by"
-                | "having"
-                | "order"
-                | "limit"
-                | "for"
-                | "update"
-                | "delete"
-                | "insert"
-                | "into"
-                | "values"
-                | "create"
-                | "table"
-                | "index"
-                | "on"
-                | "join"
-                | "inner"
-                | "left"
-                | "outer"
-                | "and"
-                | "or"
-                | "not"
-                | "in"
-                | "like"
-                | "between"
-                | "is"
-                | "null"
-                | "as"
-                | "set"
-                | "distinct"
-                | "primary"
-                | "key"
-                | "unique"
-                | "count"
-                | "sum"
-                | "avg"
-                | "min"
-                | "max"
-                | "true"
-                | "false"
-                | "coalesce"
-                | "abs"
-                | "length"
-                | "upper"
-                | "lower"
-                | "substr"
-                | "desc"
-                | "asc"
-                | "int"
-                | "text"
-                | "float"
-                | "bool"
-        )
-    })
+/// Cases per property.
+const CASES: u64 = 256;
+
+/// Words an identifier must avoid (the lexer reserves them).
+const KEYWORDS: &[&str] = &[
+    "select", "from", "where", "group", "by", "having", "order", "limit", "for", "update",
+    "delete", "insert", "into", "values", "create", "table", "index", "on", "join", "inner",
+    "left", "outer", "and", "or", "not", "in", "like", "between", "is", "null", "as", "set",
+    "distinct", "primary", "key", "unique", "count", "sum", "avg", "min", "max", "true", "false",
+    "coalesce", "abs", "length", "upper", "lower", "substr", "desc", "asc", "int", "text", "float",
+    "bool",
+];
+
+fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> T {
+    items[rng.gen_range(0..items.len())]
 }
 
-fn literal() -> impl Strategy<Value = Expr> {
-    prop_oneof![
-        any::<i32>().prop_map(|i| Expr::Literal(Value::Int(i64::from(i)))),
+fn string_of(rng: &mut StdRng, alphabet: &[u8], len: usize) -> String {
+    (0..len).map(|_| pick(rng, alphabet) as char).collect()
+}
+
+/// `[a-z][a-z0-9_]{0,6}`, not a keyword.
+fn ident(rng: &mut StdRng) -> String {
+    loop {
+        let first = string_of(rng, b"abcdefghijklmnopqrstuvwxyz", 1);
+        let len = rng.gen_range(0..=6usize);
+        let s = first + &string_of(rng, b"abcdefghijklmnopqrstuvwxyz0123456789_", len);
+        if !KEYWORDS.contains(&s.as_str()) {
+            return s;
+        }
+    }
+}
+
+fn maybe<T>(rng: &mut StdRng, f: impl FnOnce(&mut StdRng) -> T) -> Option<T> {
+    rng.gen_bool(0.5).then(|| f(rng))
+}
+
+fn literal(rng: &mut StdRng) -> Expr {
+    Expr::Literal(match rng.gen_range(0..5u32) {
+        0 => Value::Int(i64::from(rng.gen::<i32>())),
         // Finite floats with short decimal forms survive the text roundtrip.
-        (-1000i32..1000, 1u32..100).prop_map(|(a, b)| {
-            Expr::Literal(Value::Float(f64::from(a) + f64::from(b) / 100.0))
-        }),
-        "[a-z 'derf]{0,8}".prop_map(|s| Expr::Literal(Value::Text(s))),
-        Just(Expr::Literal(Value::Null)),
-        any::<bool>().prop_map(|b| Expr::Literal(Value::Bool(b))),
-    ]
-}
-
-fn expr(depth: u32) -> BoxedStrategy<Expr> {
-    let leaf = prop_oneof![
-        literal(),
-        ident().prop_map(|name| Expr::Column { table: None, name }),
-        (ident(), ident()).prop_map(|(t, name)| Expr::Column {
-            table: Some(t),
-            name
-        }),
-    ];
-    leaf.prop_recursive(depth, 24, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone(), binop()).prop_map(|(l, r, op)| Expr::Binary {
-                op,
-                left: Box::new(l),
-                right: Box::new(r),
-            }),
-            inner.clone().prop_map(|e| Expr::Unary {
-                op: UnaryOp::Not,
-                expr: Box::new(e)
-            }),
-            (inner.clone(), any::<bool>()).prop_map(|(e, n)| Expr::IsNull {
-                expr: Box::new(e),
-                negated: n
-            }),
-            (
-                inner.clone(),
-                proptest::collection::vec(literal(), 1..3),
-                any::<bool>()
-            )
-                .prop_map(|(e, list, n)| Expr::InList {
-                    expr: Box::new(e),
-                    list,
-                    negated: n
-                }),
-            (proptest::collection::vec(inner, 1..3), scalar_func())
-                .prop_map(|(args, func)| Expr::Func { func, args }),
-        ]
+        1 => Value::Float(
+            f64::from(rng.gen_range(-1000i32..1000)) + f64::from(rng.gen_range(1u32..100)) / 100.0,
+        ),
+        2 => {
+            let len = rng.gen_range(0..=8usize);
+            Value::Text(string_of(rng, b"abcdefghijklmnopqrstuvwxyz '", len))
+        }
+        3 => Value::Null,
+        _ => Value::Bool(rng.gen_bool(0.5)),
     })
-    .boxed()
 }
 
-fn binop() -> impl Strategy<Value = BinOp> {
-    prop_oneof![
-        Just(BinOp::And),
-        Just(BinOp::Or),
-        Just(BinOp::Eq),
-        Just(BinOp::NotEq),
-        Just(BinOp::Lt),
-        Just(BinOp::LtEq),
-        Just(BinOp::Gt),
-        Just(BinOp::GtEq),
-        Just(BinOp::Add),
-        Just(BinOp::Sub),
-        Just(BinOp::Mul),
-        Just(BinOp::Div),
-        Just(BinOp::Mod),
-    ]
-}
-
-fn scalar_func() -> impl Strategy<Value = ScalarFunc> {
-    prop_oneof![
-        Just(ScalarFunc::Coalesce),
-        Just(ScalarFunc::Abs),
-        Just(ScalarFunc::Length),
-        Just(ScalarFunc::Upper),
-        Just(ScalarFunc::Lower),
-    ]
-}
-
-fn select() -> impl Strategy<Value = Statement> {
-    (
-        any::<bool>(),
-        proptest::collection::vec((expr(2), proptest::option::of(ident())), 1..4),
-        ident(),
-        proptest::option::of(expr(3)),
-        proptest::collection::vec((ident(), any::<bool>()), 0..3),
-        proptest::option::of(0u64..100),
-        any::<bool>(),
-    )
-        .prop_map(
-            |(distinct, items, from, filter, order, limit, for_update)| {
-                Statement::Select(SelectStmt {
-                    distinct,
-                    items: items
-                        .into_iter()
-                        .map(|(expr, alias)| SelectItem::Expr { expr, alias })
-                        .collect(),
-                    from: TableRef {
-                        name: from,
-                        alias: None,
-                    },
-                    joins: vec![],
-                    filter,
-                    group_by: vec![],
-                    having: None,
-                    order_by: order
-                        .into_iter()
-                        .map(|(name, desc)| OrderKey {
-                            expr: Expr::Column { table: None, name },
-                            desc,
-                        })
-                        .collect(),
-                    limit,
-                    for_update,
-                })
+/// An expression tree at most `depth` levels above its leaves.
+fn expr(rng: &mut StdRng, depth: u32) -> Expr {
+    if depth == 0 || rng.gen_bool(0.5) {
+        return match rng.gen_range(0..3u32) {
+            0 => literal(rng),
+            1 => Expr::Column {
+                table: None,
+                name: ident(rng),
             },
-        )
+            _ => Expr::Column {
+                table: Some(ident(rng)),
+                name: ident(rng),
+            },
+        };
+    }
+    let sub = |rng: &mut StdRng| Box::new(expr(rng, depth - 1));
+    match rng.gen_range(0..5u32) {
+        0 => Expr::Binary {
+            left: sub(rng),
+            right: sub(rng),
+            op: pick(
+                rng,
+                &[
+                    BinOp::And,
+                    BinOp::Or,
+                    BinOp::Eq,
+                    BinOp::NotEq,
+                    BinOp::Lt,
+                    BinOp::LtEq,
+                    BinOp::Gt,
+                    BinOp::GtEq,
+                    BinOp::Add,
+                    BinOp::Sub,
+                    BinOp::Mul,
+                    BinOp::Div,
+                    BinOp::Mod,
+                ],
+            ),
+        },
+        1 => Expr::Unary {
+            op: UnaryOp::Not,
+            expr: sub(rng),
+        },
+        2 => Expr::IsNull {
+            expr: sub(rng),
+            negated: rng.gen_bool(0.5),
+        },
+        3 => Expr::InList {
+            expr: sub(rng),
+            list: (0..rng.gen_range(1..3usize))
+                .map(|_| literal(rng))
+                .collect(),
+            negated: rng.gen_bool(0.5),
+        },
+        _ => Expr::Func {
+            args: (0..rng.gen_range(1..3usize))
+                .map(|_| expr(rng, depth - 1))
+                .collect(),
+            func: pick(
+                rng,
+                &[
+                    ScalarFunc::Coalesce,
+                    ScalarFunc::Abs,
+                    ScalarFunc::Length,
+                    ScalarFunc::Upper,
+                    ScalarFunc::Lower,
+                ],
+            ),
+        },
+    }
 }
 
-fn update() -> impl Strategy<Value = Statement> {
-    (
-        ident(),
-        proptest::collection::vec((ident(), expr(2)), 1..3),
-        proptest::option::of(expr(2)),
-    )
-        .prop_map(|(table, sets, filter)| Statement::Update {
-            table,
-            sets,
-            filter,
-        })
+fn select(rng: &mut StdRng) -> Statement {
+    Statement::Select(SelectStmt {
+        distinct: rng.gen_bool(0.5),
+        items: (0..rng.gen_range(1..4usize))
+            .map(|_| SelectItem::Expr {
+                expr: expr(rng, 2),
+                alias: maybe(rng, ident),
+            })
+            .collect(),
+        from: TableRef {
+            name: ident(rng),
+            alias: None,
+        },
+        joins: vec![],
+        filter: maybe(rng, |rng| expr(rng, 3)),
+        group_by: vec![],
+        having: None,
+        order_by: (0..rng.gen_range(0..3usize))
+            .map(|_| OrderKey {
+                expr: Expr::Column {
+                    table: None,
+                    name: ident(rng),
+                },
+                desc: rng.gen_bool(0.5),
+            })
+            .collect(),
+        limit: maybe(rng, |rng| rng.gen_range(0u64..100)),
+        for_update: rng.gen_bool(0.5),
+    })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn printed_select_reparses_to_fixpoint(stmt in select()) {
-        let printed = stmt.to_string();
-        let reparsed = parse(&printed)
-            .unwrap_or_else(|e| panic!("printer produced unparseable SQL: {printed}\n{e}"));
-        prop_assert_eq!(reparsed.to_string(), printed);
+fn update(rng: &mut StdRng) -> Statement {
+    Statement::Update {
+        table: ident(rng),
+        sets: (0..rng.gen_range(1..3usize))
+            .map(|_| (ident(rng), expr(rng, 2)))
+            .collect(),
+        filter: maybe(rng, |rng| expr(rng, 2)),
     }
+}
 
-    #[test]
-    fn printed_update_reparses_to_fixpoint(stmt in update()) {
-        let printed = stmt.to_string();
-        let reparsed = parse(&printed)
-            .unwrap_or_else(|e| panic!("printer produced unparseable SQL: {printed}\n{e}"));
-        prop_assert_eq!(reparsed.to_string(), printed);
-    }
+/// `printed` reparses to a statement that prints as `printed` again.
+fn assert_reprints(printed: &str) {
+    let reparsed = parse(printed)
+        .unwrap_or_else(|e| panic!("printer produced unparseable SQL: {printed}\n{e}"));
+    assert_eq!(reparsed.to_string(), printed);
+}
 
-    #[test]
-    fn printed_expr_roundtrips_inside_where(e in expr(4)) {
-        let sql = format!("SELECT x FROM t WHERE {e}");
-        let parsed = parse(&sql)
-            .unwrap_or_else(|err| panic!("unparseable: {sql}\n{err}"));
-        let printed = parsed.to_string();
-        let again = parse(&printed).unwrap();
-        prop_assert_eq!(again.to_string(), printed);
+fn for_cases(seed: u64, mut property: impl FnMut(&mut StdRng)) {
+    for case in 0..CASES {
+        property(&mut StdRng::seed_from_u64(seed + case));
     }
+}
+
+#[test]
+fn printed_select_reparses_to_fixpoint() {
+    for_cases(0x5e1, |rng| assert_reprints(&select(rng).to_string()));
+}
+
+#[test]
+fn printed_update_reparses_to_fixpoint() {
+    for_cases(0x0d4, |rng| assert_reprints(&update(rng).to_string()));
+}
+
+#[test]
+fn printed_expr_roundtrips_inside_where() {
+    for_cases(0xe4b, |rng| {
+        let sql = format!("SELECT x FROM t WHERE {}", expr(rng, 4));
+        let parsed = parse(&sql).unwrap_or_else(|e| panic!("unparseable: {sql}\n{e}"));
+        assert_reprints(&parsed.to_string());
+    });
 }

@@ -81,9 +81,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nentries after rollback: {}", r.rows[0][0]);
     assert_eq!(r.rows[0][0], Value::Int(3));
 
-    // Pump the asynchronous cross-colo replication (disaster recovery).
+    // Pump the asynchronous cross-colo replication (disaster recovery):
+    // the primary's WAL streams to the DR colo until the copy acks it all.
     let shipped = platform.ship_all();
-    println!("shipped {shipped} transaction batch(es) to the DR colo");
+    println!(
+        "shipped {shipped} WAL record(s) to the DR colo; lag now {}",
+        platform.replication_lag("guestbook")
+    );
 
     Ok(())
 }

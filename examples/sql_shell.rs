@@ -34,8 +34,8 @@ use tenantdb::cluster::{
     recover_machine, ClusterConfig, ClusterController, Connection, MachineId, RecoveryConfig,
     Transport,
 };
-use tenantdb::georep::{promote, Applier, GeoLink, GeoMetrics, Shipper};
 use tenantdb::net::{ConnectOptions, NetClient};
+use tenantdb::platform::georep::{promote, Applier, GeoLink, GeoMetrics, Shipper};
 use tenantdb::storage::Value;
 
 /// A lazily attached standby colo for the `\georep` drill: one in-process
@@ -45,7 +45,6 @@ struct GeoSession {
     standby: Arc<ClusterController>,
     links: HashMap<String, GeoLink>,
     metrics: GeoMetrics,
-    promoted: bool,
 }
 
 /// The shell's session: in-process or over the wire protocol.
@@ -180,7 +179,7 @@ fn main() {
                 println!(
                     "  \\georep status  attach a standby colo (first use) and show stream lag"
                 );
-                println!("  \\georep promote fence this colo and promote the standby (DR drill)");
+                println!("  \\georep promote fence this database here and promote its standby (DR drill)");
                 println!(
                     "  \\connect <host:port> [db]  serve over TCP (see `cargo run --bin serve`)"
                 );
@@ -362,10 +361,12 @@ fn main() {
                         // Share the primary registry so the stream's
                         // tenantdb_georep_* series show up in \metrics.
                         metrics: GeoMetrics::new(Arc::clone(cluster.metrics().registry())),
-                        promoted: false,
                     });
-                    if g.promoted {
-                        println!("standby already promoted (epoch {})", g.standby.geo_epoch());
+                    if g.standby.geo_write_epoch(&db) > 0 {
+                        println!(
+                            "standby already promoted (epoch {})",
+                            g.standby.geo_epoch(&db)
+                        );
                         continue;
                     }
                     if !g.links.contains_key(&db) {
@@ -399,21 +400,19 @@ fn main() {
                             );
                             println!(
                                 "  primary: write epoch {}, fenced {}; standby epoch {}",
-                                cluster.geo_write_epoch(),
-                                cluster.is_geo_fenced(),
-                                g.standby.geo_epoch(),
+                                cluster.geo_write_epoch(&db),
+                                cluster.is_geo_fenced(&db),
+                                g.standby.geo_epoch(&db),
                             );
                         }
                         Err(e) => println!("error: stream sync failed: {e}"),
                     }
                 }
-                "promote" => match geo.as_mut() {
-                    Some(g) if !g.links.is_empty() => {
-                        let appliers: Vec<_> =
-                            g.links.values().map(|l| Arc::clone(l.applier())).collect();
-                        match promote(&g.standby, Some(&cluster), &appliers, &g.metrics) {
+                "promote" => match geo.as_ref().and_then(|g| Some((g, g.links.get(&db)?))) {
+                    Some((g, link)) => {
+                        let applier = [Arc::clone(link.standby())];
+                        match promote(&db, &g.standby, Some(&cluster), &applier, &g.metrics) {
                             Ok(out) => {
-                                g.promoted = true;
                                 println!(
                                     "promoted standby at epoch {} (old primary fenced: {}); \
                                      reconciled in-flight 2PC: {} committed, {} aborted",
@@ -430,7 +429,7 @@ fn main() {
                             Err(e) => println!("error: promotion failed: {e}"),
                         }
                     }
-                    _ => println!("no standby attached — run \\georep status first"),
+                    None => println!("no standby attached — run \\georep status first"),
                 },
                 other => println!("unknown \\georep subcommand {other:?} (status, promote)"),
             }

@@ -29,10 +29,11 @@
 //! * [`net`] — the serving frontend: versioned binary wire protocol,
 //!   multi-threaded TCP server over the platform, and a blocking native
 //!   client (`cargo run --bin serve`, shell `\connect`).
-//! * [`georep`] — cross-colo disaster recovery: per-database WAL shipping
-//!   to a standby colo over the versioned log-stream protocol,
-//!   epoch-fenced standby promotion, and in-doubt 2PC reconciliation
-//!   (shell `\georep status|promote`).
+//! * [`georep`] — the TCP transport for cross-colo disaster recovery: the
+//!   versioned log-stream protocol between a primary colo's WAL shipper
+//!   and a standby colo's applier. The shipper, applier, epoch-fenced
+//!   promotion and in-doubt 2PC reconciliation live in
+//!   [`platform::georep`] (shell `\georep status|promote`).
 //!
 //! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
 //! the paper-vs-measured record of every table and figure.
