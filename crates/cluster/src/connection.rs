@@ -10,15 +10,22 @@
 //!
 //! ## Reply plumbing
 //!
-//! A transaction owns exactly one reply channel for its whole lifetime; the
-//! per-machine sessions it attaches all send into it, and every request
-//! carries a sequence number minted under the connection lock. The receive
-//! side simply discards replies whose `seq` predates the current request —
-//! that is where aggressive-mode straggler acks (background replica writes
-//! the client did not wait for) go to die. The seed allocated a fresh mpsc
-//! channel per statement to get the same isolation; the sequence numbers
-//! make the allocation (and the per-statement `HashMap` of pending
-//! channels it implied) unnecessary.
+//! A read goes to one replica, so it runs on the calling thread: when the
+//! session lane it targets is idle the connection claims it
+//! ([`SessionHandle::claim`]), releases the connection lock, executes the
+//! statement and takes the reply as a return value. The read-only
+//! one-phase commit does the same. Everything else — the write-all fan-out,
+//! 2PC PREPARE/COMMIT, aborts, and a read whose lane is still busy with an
+//! aggressive-mode background write — is dispatched to the machines' pools
+//! (see [`crate::worker`] for why lane order holds either way).
+//!
+//! Pool replies arrive on one reply channel per transaction, created by its
+//! first pool dispatch, so a read-only transaction never allocates one. The
+//! per-machine sessions all send into it, and every request carries a
+//! sequence number minted under the connection lock. The receive side
+//! simply discards replies whose `seq` predates the current request — that
+//! is where aggressive-mode straggler acks (background replica writes the
+//! client did not wait for) go to die.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -38,7 +45,7 @@ use crate::controller::{ClusterController, ReadPolicy, WritePolicy};
 use crate::error::{ClusterError, Result};
 use crate::machine::MachineId;
 use crate::meta::{AbortArbitration, DecisionLog};
-use crate::worker::{SessionHandle, SessionMsg, TxnFailures, WorkerReply};
+use crate::worker::{Claim, SessionHandle, SessionMsg, TxnFailures, WorkerReply};
 
 struct ActiveTxn {
     gtxn: GTxn,
@@ -47,13 +54,9 @@ struct ActiveTxn {
     read_pin: Option<MachineId>,
     wrote: bool,
     failures: Arc<TxnFailures>,
-    /// Send half of the transaction's single reply channel (sessions clone
-    /// it at attach time).
-    reply_tx: Sender<WorkerReply>,
-    /// Receive half, shared so the connection lock can be dropped while
-    /// waiting for replies. Uncontended: one statement is in flight at a
-    /// time per connection.
-    reply_rx: Arc<Mutex<Receiver<WorkerReply>>>,
+    /// The transaction's pool reply channel, created by its first pool
+    /// dispatch.
+    reply: Option<ReplyChannel>,
     /// Last sequence number minted (0 = none yet; replies at or above the
     /// wait threshold are current, everything below is a stale straggler).
     seq: u64,
@@ -63,6 +66,28 @@ impl ActiveTxn {
     fn next_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
+    }
+}
+
+/// One transaction's channel for replies from pool-drained session lanes.
+struct ReplyChannel {
+    tx: Sender<WorkerReply>,
+    /// Shared so the connection lock can be dropped while waiting for
+    /// replies. Uncontended: one statement is in flight at a time per
+    /// connection.
+    rx: Arc<Mutex<Receiver<WorkerReply>>>,
+}
+
+impl ReplyChannel {
+    /// The transaction's channel, created on first use.
+    fn get(slot: &mut Option<ReplyChannel>) -> &ReplyChannel {
+        slot.get_or_insert_with(|| {
+            let (tx, rx) = channel();
+            ReplyChannel {
+                tx,
+                rx: Arc::new(Mutex::new(&CONN_REPLY, rx)),
+            }
+        })
     }
 }
 
@@ -131,15 +156,13 @@ impl Connection {
         // never reaches routing, sessions, or worker pools.
         self.controller.admit(&self.db)?;
         self.controller.metrics().note_begun(&self.db);
-        let (reply_tx, reply_rx) = channel();
         *st = Some(ActiveTxn {
             gtxn: self.controller.next_gtxn(),
             sessions: HashMap::new(),
             read_pin: None,
             wrote: false,
             failures: Arc::new(TxnFailures::default()),
-            reply_tx,
-            reply_rx: Arc::new(Mutex::new(&CONN_REPLY, reply_rx)),
+            reply: None,
             seq: 0,
         });
         Ok(())
@@ -281,7 +304,6 @@ impl Connection {
                     txn.gtxn,
                     Arc::clone(&txn.failures),
                     self.controller.recorder.read().clone(),
-                    txn.reply_tx.clone(),
                 );
                 Ok(e.insert(handle))
             }
@@ -357,18 +379,30 @@ impl Connection {
         let txn = st.as_mut().ok_or(ClusterError::NoActiveTxn)?;
         let machine = self.pick_read_machine(txn)?;
         metrics.note_read_route(self.controller.cfg.read_policy, machine);
-        let seq = txn.next_seq();
-        let rx = Arc::clone(&txn.reply_rx);
-        let session = self.ensure_session(txn, machine)?;
-        session.send(SessionMsg::Exec {
-            seq,
+        let msg = SessionMsg::Exec {
+            seq: txn.next_seq(),
             stmt: Arc::clone(stmt),
             params,
-        })?;
-        drop(st); // don't hold the connection lock while the engine works
-        let mut replies = Self::collect_replies(&rx, &metrics.straggler_acks, seq, 1, |_| true);
+        };
+        let reply = match self.ensure_session(txn, machine)?.claim(msg)? {
+            Claim::Inline(call) => {
+                drop(st); // don't hold the connection lock while the engine works
+                call.run()
+            }
+            Claim::Busy(msg) => {
+                // The lane is busy (say, an aggressive-mode background
+                // write still queued on this replica): wait behind it on
+                // the pool.
+                let seq = txn.seq;
+                let chan = ReplyChannel::get(&mut txn.reply);
+                let rx = Arc::clone(&chan.rx);
+                txn.sessions[&machine].send(msg, &chan.tx)?;
+                drop(st);
+                Self::collect_replies(&rx, &metrics.straggler_acks, seq, 1, |_| true).pop()
+            }
+        };
         metrics.stmt_read_latency.observe_since(started);
-        match replies.pop() {
+        match reply {
             Some(r) => r.result,
             None => Err(ClusterError::from(StorageError::Unavailable)),
         }
@@ -440,15 +474,19 @@ impl Connection {
         }
 
         let seq = txn.next_seq();
-        let rx = Arc::clone(&txn.reply_rx);
+        let chan = ReplyChannel::get(&mut txn.reply);
+        let (tx, rx) = (chan.tx.clone(), Arc::clone(&chan.rx));
         let mut sent = 0usize;
         for &m in &targets {
             let session = self.ensure_session(txn, m)?;
-            session.send(SessionMsg::Exec {
-                seq,
-                stmt: Arc::clone(stmt),
-                params: Arc::clone(&params),
-            })?;
+            session.send(
+                SessionMsg::Exec {
+                    seq,
+                    stmt: Arc::clone(stmt),
+                    params: Arc::clone(&params),
+                },
+                &tx,
+            )?;
             sent += 1;
         }
         txn.wrote = true;
@@ -542,8 +580,9 @@ impl Connection {
         }
 
         if !txn.wrote {
-            // One-phase commit for read-only transactions.
-            self.broadcast(&mut txn, |seq| SessionMsg::Commit {
+            // One-phase commit for read-only transactions, on this thread
+            // wherever the lane is idle.
+            self.broadcast(&mut txn, true, |seq| SessionMsg::Commit {
                 seq,
                 want_reply: true,
             });
@@ -564,7 +603,7 @@ impl Connection {
 
         // Phase 1: PREPARE everywhere.
         let prepare_started = Instant::now();
-        let votes = self.broadcast(&mut txn, |seq| SessionMsg::Prepare { seq });
+        let votes = self.broadcast(&mut txn, false, |seq| SessionMsg::Prepare { seq });
         metrics.twopc_prepare_latency.observe_since(prepare_started);
         let mut yes: Vec<(MachineId, TxnId)> = Vec::new();
         let mut fatal: Option<ClusterError> = None;
@@ -685,7 +724,7 @@ impl Connection {
 
         // Phase 2: COMMIT.
         let commit_phase_started = Instant::now();
-        let acks = self.broadcast(&mut txn, |seq| SessionMsg::Commit {
+        let acks = self.broadcast(&mut txn, false, |seq| SessionMsg::Commit {
             seq,
             want_reply: true,
         });
@@ -713,7 +752,7 @@ impl Connection {
         let Some(mut txn) = self.state.lock().take() else {
             return Err(ClusterError::NoActiveTxn);
         };
-        self.broadcast(&mut txn, |seq| SessionMsg::Abort {
+        self.broadcast(&mut txn, false, |seq| SessionMsg::Abort {
             seq,
             want_reply: true,
         });
@@ -732,7 +771,7 @@ impl Connection {
     }
 
     fn finish_abort(&self, txn: &mut ActiveTxn, cause: &ClusterError) {
-        self.broadcast(txn, |seq| SessionMsg::Abort {
+        self.broadcast(txn, false, |seq| SessionMsg::Abort {
             seq,
             want_reply: true,
         });
@@ -756,25 +795,43 @@ impl Connection {
     }
 
     /// Send a message to every live session and collect one reply each.
+    /// With `inline`, a session whose lane is idle runs it on the calling
+    /// thread; every other message goes to the machine's pool.
     fn broadcast(
         &self,
         txn: &mut ActiveTxn,
+        inline: bool,
         make: impl Fn(u64) -> SessionMsg,
     ) -> Vec<(MachineId, Option<TxnId>, Result<QueryResult>)> {
         let seq = txn.next_seq();
+        let mut replies = Vec::with_capacity(txn.sessions.len());
         let mut expected = 0;
         for s in txn.sessions.values() {
-            if s.send(make(seq)).is_ok() {
+            let msg = if inline {
+                match s.claim(make(seq)) {
+                    Ok(Claim::Inline(call)) => {
+                        replies.extend(call.run());
+                        continue;
+                    }
+                    Ok(Claim::Busy(msg)) => msg,
+                    Err(_) => continue,
+                }
+            } else {
+                make(seq)
+            };
+            if s.send(msg, &ReplyChannel::get(&mut txn.reply).tx).is_ok() {
                 expected += 1;
             }
         }
-        let replies = Self::collect_replies(
-            &txn.reply_rx,
-            &self.controller.metrics().straggler_acks,
-            seq,
-            expected,
-            |_| false,
-        );
+        if let Some(chan) = txn.reply.as_ref().filter(|_| expected > 0) {
+            replies.extend(Self::collect_replies(
+                &chan.rx,
+                &self.controller.metrics().straggler_acks,
+                seq,
+                expected,
+                |_| false,
+            ));
+        }
         replies
             .into_iter()
             .map(|r| (r.machine, r.local, r.result))

@@ -125,6 +125,9 @@ pub struct Placement {
     pub replicas: Vec<MachineId>,
     /// The replica that Option 1 pins all reads to.
     pub pinned: MachineId,
+    /// Replicas the database was created with: the count
+    /// [`crate::recovery::recover_machine`] restores after a failure.
+    pub factor: usize,
 }
 
 /// Algorithm 1 state for a database whose new replica is being created.

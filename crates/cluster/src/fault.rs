@@ -62,7 +62,7 @@ pub const GEO: MachineId = MachineId(u32::MAX - 2);
 /// | `CopyStart` | `recovery.rs` | before a database-level Algorithm-1 dump begins |
 /// | `CopyTable` | `recovery.rs` | before each table's dump in a table-level copy (one hit per table boundary) |
 /// | `TakeoverCommit` | `pair.rs` | before the backup controller completes one participant's decided commit |
-/// | `PoolJob` | `pool.rs` | before a dequeued pool job runs (only `Delay` is honored) |
+/// | `PoolJob` | `pool.rs` | before a dequeued pool job runs (only `Delay` is honored; a read run inline on the caller's thread is no pool job) |
 /// | `NetAccept` | `net/server.rs` | after a TCP connection is accepted, before its session starts (a `Crash` drops the socket unserved) |
 /// | `NetFrameRead` | `net/server.rs` | after a request frame arrived, before it is dispatched |
 /// | `NetFrameWrite` | `net/server.rs` | before a reply frame is written back to the client |
@@ -204,8 +204,9 @@ pub enum FaultAction {
     /// *controller* instead — participants are left prepared.
     Crash,
     /// Pause execution at the hook site (straggler acks, slow replicas,
-    /// lock-timeout storms). The delay runs on the session's pool lane, so
-    /// it stalls exactly what a slow machine would stall.
+    /// lock-timeout storms). The delay runs on the session's lane, on
+    /// whichever thread drains it, so it stalls exactly what a slow machine
+    /// would stall.
     Delay(Duration),
 }
 

@@ -2,7 +2,6 @@
 //! plus the persistent worker pool that executes transactions against it.
 
 use std::fmt;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use tenantdb_history::{GTxn, Recorder};
@@ -11,7 +10,7 @@ use tenantdb_storage::{Engine, EngineConfig};
 use crate::fault::FaultInjector;
 use crate::metrics::PoolMetrics;
 use crate::pool::{PoolConfig, WorkerPool};
-use crate::worker::{new_session, SessionHandle, TxnFailures, WorkerReply};
+use crate::worker::{new_session, SessionHandle, TxnFailures};
 
 /// Machine identifier within a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -91,7 +90,6 @@ impl Machine {
         gtxn: GTxn,
         failures: Arc<TxnFailures>,
         recorder: Option<Arc<Recorder>>,
-        reply: Sender<WorkerReply>,
     ) -> SessionHandle {
         new_session(
             self.pool.shared(),
@@ -101,7 +99,6 @@ impl Machine {
             gtxn,
             failures,
             recorder,
-            reply,
             Arc::clone(&self.faults),
         )
     }

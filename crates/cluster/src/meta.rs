@@ -161,6 +161,7 @@ impl StateMachine for MetaState {
                     Placement {
                         replicas: replicas.clone(),
                         pinned: *pinned,
+                        factor: replicas.len(),
                     },
                 );
             }
@@ -1336,6 +1337,7 @@ mod tests {
             Placement {
                 replicas: vec![m(0)],
                 pinned: m(0),
+                factor: 1,
             },
         );
         st.apply(1, &cmd);

@@ -15,6 +15,13 @@
 //!   *different* transactions interleave across the pool's threads.
 //! * **Tasks** — plain closures (recovery copy jobs, background work).
 //!
+//! The pool is the lane drainer for work that gains from another thread:
+//! the write-all fan-out, 2PC PREPARE/COMMIT, cleanup aborts, and any
+//! message for a lane that is already busy. A single-replica read on an
+//! idle lane never becomes a pool job — the calling thread claims the lane
+//! and runs it (see [`crate::worker`]), so [`CrashPoint::PoolJob`] does
+//! not fire for it.
+//!
 //! ## Sizing and growth
 //!
 //! Strict 2PL means a job can *block* holding a worker thread (a lock wait
@@ -194,7 +201,7 @@ fn worker_main(shared: Arc<PoolShared>) {
                     }
                 }
                 match job {
-                    PoolJob::Session(session) => session.drain(&shared),
+                    PoolJob::Session(session) => session.drain(),
                     PoolJob::Task(f) => f(),
                 }
             }

@@ -190,13 +190,31 @@ pub fn migrate_replica(
 ///
 /// Targets are chosen greedily (First-Fit flavour of Algorithm 2): the
 /// lowest-id alive machine that does not already host the database.
+///
+/// The lost databases are those placed on the machine plus those its engine
+/// still lists but whose placement has already dropped it while running
+/// short of its replication factor: a client write that hit the dead
+/// replica removes it from the placement on its own, possibly before this
+/// call looks. A listed database already back at its factor is a stale copy
+/// from an earlier incarnation of the machine and is left alone. Every lost
+/// database ends up in the report, recovered or failed.
 pub fn recover_machine(
     controller: &Arc<ClusterController>,
     failed_machine: MachineId,
     cfg: RecoveryConfig,
 ) -> RecoveryReport {
     let started = Instant::now();
-    let dbs = controller.databases_on(failed_machine);
+    let mut dbs = controller.databases_on(failed_machine);
+    if let Ok(m) = controller.machine(failed_machine) {
+        for db in m.engine.database_names() {
+            let short = controller
+                .placement(&db)
+                .is_ok_and(|p| p.replicas.len() < p.factor);
+            if short && !dbs.contains(&db) {
+                dbs.push(db);
+            }
+        }
+    }
     // Serve from survivors immediately.
     for db in &dbs {
         controller.remove_replica(db, failed_machine);
@@ -330,6 +348,43 @@ mod tests {
         let t = m.engine.begin().unwrap();
         assert_eq!(m.engine.scan(t, "app", "a").unwrap().len(), 30);
         m.engine.commit(t).unwrap();
+    }
+
+    #[test]
+    fn recover_machine_finds_replica_a_writer_already_removed() {
+        // A client write that hits the dead replica drops it from the
+        // placement before recovery looks; the database must still be
+        // recovered rather than left on one replica.
+        let (c, placed) = cluster_with_data();
+        let victim = placed[0];
+        c.fail_machine(victim).unwrap();
+        c.remove_replica("app", victim);
+        let report = recover_machine(&c, victim, RecoveryConfig::default());
+        assert!(report.failed.is_empty(), "failed: {:?}", report.failed);
+        let recovered: Vec<&str> = report.recovered.iter().map(|r| r.0.as_str()).collect();
+        assert_eq!(recovered, vec!["app"]);
+        assert_eq!(c.placement("app").unwrap().replicas.len(), 2);
+    }
+
+    #[test]
+    fn recover_machine_skips_stale_copy_of_recovered_database() {
+        // A machine that failed, was recovered from and restarted still
+        // lists the database; failing it again must not add a third replica.
+        let (c, placed) = cluster_with_data();
+        let victim = placed[0];
+        c.fail_machine(victim).unwrap();
+        assert_eq!(
+            recover_machine(&c, victim, RecoveryConfig::default())
+                .recovered
+                .len(),
+            1
+        );
+        c.restart_machine(victim).unwrap();
+        assert!(c.machine(victim).unwrap().engine.has_database("app"));
+        c.fail_machine(victim).unwrap();
+        let report = recover_machine(&c, victim, RecoveryConfig::default());
+        assert!(report.recovered.is_empty() && report.failed.is_empty());
+        assert_eq!(c.placement("app").unwrap().replicas.len(), 2);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Per-(transaction, machine) replica sessions, multiplexed over the
-//! machine's persistent [`crate::pool::WorkerPool`].
+//! Per-(transaction, machine) replica sessions: strict FIFO lanes drained
+//! either by the calling thread or by the machine's persistent
+//! [`crate::pool::WorkerPool`].
 //!
 //! Each global transaction attaches one lightweight [`Session`] per machine
 //! it touches. A session owns the transaction's *local incarnation* on that
@@ -11,13 +12,37 @@
 //! executing it; the transaction's `PREPARE` on those replicas queues behind
 //! the write in the same lane.
 //!
-//! The seed implementation realized this lane as one spawned OS thread per
-//! (transaction, machine) with a fresh mpsc reply channel per statement;
-//! both are gone. Sessions are plain heap objects scheduled onto long-lived
-//! pool threads, and every reply of a transaction travels over a single
-//! channel owned by the connection, correlated by a per-transaction sequence
-//! number ([`SessionMsg`]'s `seq` — late replies from aggressive-mode
-//! background writes are simply discarded as stale by the receiver).
+//! ## Who drains a lane
+//!
+//! A lane has at most one *drainer* at a time, recorded by the mailbox's
+//! `scheduled` flag. There are two kinds:
+//!
+//! * **The calling thread** ([`SessionHandle::claim`]). §3.1 sends a read to
+//!   one replica, so nothing is gained by running it on another thread.
+//!   When the lane is idle — no drainer, hence an empty mailbox — the caller
+//!   sets `scheduled` under the mailbox lock, runs the message through the
+//!   same `Session::process` a pool worker uses, and takes the
+//!   [`WorkerReply`] back as a return value. Before it lets go it drains
+//!   whatever was enqueued meanwhile, so releasing an inline claim never
+//!   hands work to the pool.
+//! * **A pool worker** ([`SessionHandle::send`]). Everything else — the
+//!   write-all fan-out, 2PC PREPARE/COMMIT, cleanup aborts, and any message
+//!   for a lane that is busy — is appended to the mailbox; the append that
+//!   finds the lane idle submits one pool job, whose worker drains the
+//!   mailbox in arrival order and sends each reply over the transaction's
+//!   reply channel.
+//!
+//! FIFO order holds by construction: an inline claim succeeds only when no
+//! message is queued or running, so it is the next message in lane order,
+//! and anything that arrives while it runs queues behind it. An aggressive
+//! background write still running on the pinned replica keeps that lane
+//! busy, so the read that follows goes to the pool and waits behind it.
+//!
+//! Replies travel over one channel per transaction, correlated by a
+//! per-transaction sequence number ([`SessionMsg`]'s `seq` — late replies
+//! from aggressive-mode background writes are simply discarded as stale by
+//! the receiver). The first pool dispatch hands the channel to the session;
+//! a lane that only ever runs inline never sees one.
 //!
 //! Sessions also record the history stream: after each statement returns
 //! (and before the session processes anything else), the rows it touched are
@@ -27,7 +52,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::sync::{Mutex, WORKER_EXEC, WORKER_FAILURES, WORKER_MAILBOX};
 
@@ -142,8 +167,10 @@ pub struct WorkerReply {
 
 struct Mailbox {
     queue: VecDeque<SessionMsg>,
-    /// True while a pool job for this session is queued or draining; the
-    /// single-drainer invariant behind the FIFO ordering guarantee.
+    /// True while the lane has a drainer: a queued or running pool job, or
+    /// a caller running a message inline. The single-drainer invariant
+    /// behind the FIFO ordering guarantee; a lane with `scheduled == false`
+    /// has an empty queue.
     scheduled: bool,
     /// Set when a terminal message is enqueued; later sends fail.
     closed: bool,
@@ -162,27 +189,42 @@ pub struct Session {
     gtxn: GTxn,
     failures: Arc<TxnFailures>,
     recorder: Option<Arc<Recorder>>,
-    /// The owning transaction's shared reply channel.
-    reply: Sender<WorkerReply>,
+    /// The owning transaction's reply channel, set by the first pool
+    /// dispatch; a pool drainer sends every reply here.
+    reply: OnceLock<Sender<WorkerReply>>,
     /// The cluster's fault injector; consulted at the session-side crash
     /// points (inert unless armed).
     faults: Arc<FaultInjector>,
+    /// The machine's pool, which drains the lane for everything not run
+    /// inline.
+    pool: Arc<PoolShared>,
     mailbox: Mutex<Mailbox>,
     /// Only ever touched by the single active drainer; the lock is
     /// uncontended and exists to make the sharing safe.
     exec: Mutex<ExecState>,
 }
 
+fn session_finished() -> ClusterError {
+    // The session finished (or is finishing); matches the seed behaviour of
+    // sending to an exited worker.
+    ClusterError::from(tenantdb_storage::StorageError::Unavailable)
+}
+
 impl Session {
-    fn enqueue(self: &Arc<Self>, msg: SessionMsg, pool: &Arc<PoolShared>) -> Result<()> {
+    fn enqueue(
+        self: &Arc<Self>,
+        msg: SessionMsg,
+        reply: Option<&Sender<WorkerReply>>,
+    ) -> Result<()> {
+        if let Some(tx) = reply {
+            if self.reply.get().is_none() {
+                let _ = self.reply.set(tx.clone());
+            }
+        }
         let schedule = {
             let mut mb = self.mailbox.lock();
             if mb.closed {
-                // The session finished (or is finishing); matches the seed
-                // behaviour of sending to an exited worker.
-                return Err(ClusterError::from(
-                    tenantdb_storage::StorageError::Unavailable,
-                ));
+                return Err(session_finished());
             }
             if msg.is_terminal() {
                 mb.closed = true;
@@ -195,14 +237,33 @@ impl Session {
             schedule
         };
         if schedule {
-            pool.submit(PoolJob::Session(Arc::clone(self)));
+            self.pool.submit(PoolJob::Session(Arc::clone(self)));
         }
         Ok(())
     }
 
-    /// Drain the mailbox in arrival order (called by a pool worker; the
-    /// `scheduled` flag guarantees a single drainer).
-    pub(crate) fn drain(self: &Arc<Self>, _pool: &Arc<PoolShared>) {
+    /// Make the calling thread the lane's drainer if the lane is idle.
+    fn claim(&self, terminal: bool) -> Result<bool> {
+        let mut mb = self.mailbox.lock();
+        if mb.closed {
+            return Err(session_finished());
+        }
+        if mb.scheduled {
+            return Ok(false);
+        }
+        debug_assert!(mb.queue.is_empty(), "an idle lane has an empty mailbox");
+        mb.scheduled = true;
+        if terminal {
+            mb.closed = true;
+        }
+        Ok(true)
+    }
+
+    /// Drain the mailbox in arrival order, sending each reply over the
+    /// transaction's channel, then give up the drainer slot. Called by a
+    /// pool worker, or by a caller releasing an inline claim; the
+    /// `scheduled` flag guarantees a single drainer.
+    pub(crate) fn drain(&self) {
         loop {
             let batch = {
                 let mut mb = self.mailbox.lock();
@@ -213,7 +274,9 @@ impl Session {
                 std::mem::take(&mut mb.queue)
             };
             for msg in batch {
-                self.process(msg);
+                if let (Some(reply), Some(tx)) = (self.process(msg), self.reply.get()) {
+                    let _ = tx.send(reply);
+                }
             }
         }
     }
@@ -230,12 +293,16 @@ impl Session {
         }
     }
 
-    fn process(&self, msg: SessionMsg) {
+    /// Run one message against the engine and return its reply (`None`
+    /// for fire-and-forget cleanup, `Detach`, or a message behind a
+    /// terminal one). The one executor for both drainers: a pool worker
+    /// sends the reply on, an inline caller returns it.
+    fn process(&self, msg: SessionMsg) -> Option<WorkerReply> {
         let mut exec = self.exec.lock();
         if exec.finished {
             // A message behind a terminal one (cannot happen through the
             // public API; defensive for direct pool users).
-            return;
+            return None;
         }
         match msg {
             SessionMsg::Exec { seq, stmt, params } => {
@@ -287,12 +354,12 @@ impl Session {
                     // coordinator is about to count as acknowledged.
                     self.fault_hook(CrashPoint::ReplicaWriteAck);
                 }
-                let _ = self.reply.send(WorkerReply {
+                Some(WorkerReply {
                     seq,
                     machine: self.machine,
                     local: exec.local,
                     result,
-                });
+                })
             }
             SessionMsg::Prepare { seq } => {
                 self.fault_hook(CrashPoint::PrepareApply);
@@ -313,12 +380,12 @@ impl Session {
                     // participant whose ack the coordinator never sees.
                     self.fault_hook(CrashPoint::PrepareAck);
                 }
-                let _ = self.reply.send(WorkerReply {
+                Some(WorkerReply {
                     seq,
                     machine: self.machine,
                     local: exec.local,
                     result,
-                });
+                })
             }
             SessionMsg::Commit { seq, want_reply } => {
                 if exec.local.is_some() {
@@ -336,14 +403,12 @@ impl Session {
                     self.fault_hook(CrashPoint::CommitAck);
                 }
                 exec.finished = true;
-                if want_reply {
-                    let _ = self.reply.send(WorkerReply {
-                        seq,
-                        machine: self.machine,
-                        local: None,
-                        result,
-                    });
-                }
+                want_reply.then_some(WorkerReply {
+                    seq,
+                    machine: self.machine,
+                    local: None,
+                    result,
+                })
             }
             SessionMsg::Abort { seq, want_reply } => {
                 let result = match exec.local.take() {
@@ -355,19 +420,18 @@ impl Session {
                     None => Ok(QueryResult::default()),
                 };
                 exec.finished = true;
-                if want_reply {
-                    let _ = self.reply.send(WorkerReply {
-                        seq,
-                        machine: self.machine,
-                        local: None,
-                        result,
-                    });
-                }
+                want_reply.then_some(WorkerReply {
+                    seq,
+                    machine: self.machine,
+                    local: None,
+                    result,
+                })
             }
             SessionMsg::Detach => {
                 // Leave `local` untouched: a prepared participant must stay
                 // prepared across the simulated controller crash.
                 exec.finished = true;
+                None
             }
         }
     }
@@ -378,8 +442,43 @@ impl Session {
 /// a dangling local transaction's locks never linger until timeout.
 pub struct SessionHandle {
     session: Arc<Session>,
-    pool: Arc<PoolShared>,
     sent_terminal: AtomicBool,
+}
+
+/// Outcome of [`SessionHandle::claim`].
+pub enum Claim {
+    /// The lane was idle and now belongs to the caller: run the message.
+    Inline(InlineCall),
+    /// The lane is busy; the message comes back for a pool dispatch.
+    Busy(SessionMsg),
+}
+
+/// A message the calling thread runs on a lane it claimed (see the module
+/// docs). Dropping it — after [`InlineCall::run`], or instead of it —
+/// drains whatever was enqueued meanwhile on the same thread and releases
+/// the lane.
+#[must_use = "a claimed lane stays claimed until the call runs or drops"]
+pub struct InlineCall {
+    session: Arc<Session>,
+    msg: Option<SessionMsg>,
+}
+
+impl InlineCall {
+    /// Execute the claimed message on the calling thread and return its
+    /// reply (`None` only for fire-and-forget messages).
+    pub fn run(mut self) -> Option<WorkerReply> {
+        self.msg.take().and_then(|msg| self.session.process(msg))
+    }
+}
+
+impl Drop for InlineCall {
+    fn drop(&mut self) {
+        // An unrun claim still owes its message to the lane.
+        if let Some(msg) = self.msg.take() {
+            let _ = self.session.process(msg);
+        }
+        self.session.drain();
+    }
 }
 
 impl SessionHandle {
@@ -388,25 +487,44 @@ impl SessionHandle {
         self.session.machine
     }
 
-    /// Send a request; a send failure means the session already finished
-    /// (transaction completed) and is reported as `Unavailable`, matching
-    /// the seed's exited-worker behaviour.
-    pub fn send(&self, msg: SessionMsg) -> Result<()> {
+    fn note_terminal(&self, msg: &SessionMsg) {
         if msg.is_terminal() {
             // ordering: Relaxed — per-handle flag; &self calls and Drop are ordered
             // by ownership, so only atomicity (not ordering) is required.
             self.sent_terminal.store(true, Ordering::Relaxed);
         }
-        self.session.enqueue(msg, &self.pool)
+    }
+
+    /// Dispatch a request to the machine's pool; its reply arrives on
+    /// `reply`. A send failure means the session already finished
+    /// (transaction completed) and is reported as `Unavailable`, matching
+    /// the seed's exited-worker behaviour.
+    pub fn send(&self, msg: SessionMsg, reply: &Sender<WorkerReply>) -> Result<()> {
+        self.note_terminal(&msg);
+        self.session.enqueue(msg, Some(reply))
+    }
+
+    /// Claim the lane for the calling thread if it is idle, so `msg` runs
+    /// here rather than on the pool; a busy lane hands `msg` back. Errors
+    /// like [`SessionHandle::send`] once the session finished.
+    pub fn claim(&self, msg: SessionMsg) -> Result<Claim> {
+        if !self.session.claim(msg.is_terminal())? {
+            return Ok(Claim::Busy(msg));
+        }
+        self.note_terminal(&msg);
+        Ok(Claim::Inline(InlineCall {
+            session: Arc::clone(&self.session),
+            msg: Some(msg),
+        }))
     }
 
     /// Finish the session without aborting its local transaction (simulated
     /// controller crash: participants stay prepared, no cleanup runs). The
     /// seed modelled this by leaking the worker thread; here nothing leaks.
     pub fn detach(self) {
-        // ordering: Relaxed — see send(); ownership transfer orders the Drop load.
+        // ordering: Relaxed — see note_terminal(); ownership transfer orders the Drop load.
         self.sent_terminal.store(true, Ordering::Relaxed);
-        let _ = self.session.enqueue(SessionMsg::Detach, &self.pool);
+        let _ = self.session.enqueue(SessionMsg::Detach, None);
     }
 }
 
@@ -423,7 +541,7 @@ impl Drop for SessionHandle {
                     seq: 0,
                     want_reply: false,
                 },
-                &self.pool,
+                None,
             );
         }
     }
@@ -440,7 +558,6 @@ pub(crate) fn new_session(
     gtxn: GTxn,
     failures: Arc<TxnFailures>,
     recorder: Option<Arc<Recorder>>,
-    reply: Sender<WorkerReply>,
     faults: Arc<FaultInjector>,
 ) -> SessionHandle {
     SessionHandle {
@@ -451,8 +568,9 @@ pub(crate) fn new_session(
             gtxn,
             failures,
             recorder,
-            reply,
+            reply: OnceLock::new(),
             faults,
+            pool: Arc::clone(pool),
             mailbox: Mutex::new(
                 &WORKER_MAILBOX,
                 Mailbox {
@@ -469,7 +587,6 @@ pub(crate) fn new_session(
                 },
             ),
         }),
-        pool: Arc::clone(pool),
         sent_terminal: AtomicBool::new(false),
     }
 }
@@ -478,7 +595,7 @@ pub(crate) fn new_session(
 mod tests {
     use super::*;
     use crate::machine::Machine;
-    use std::sync::mpsc::{channel, Receiver};
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use tenantdb_sql::parse;
     use tenantdb_storage::EngineConfig;
 
@@ -506,6 +623,7 @@ mod tests {
 
     struct Harness {
         handle: SessionHandle,
+        tx: Sender<WorkerReply>,
         rx: Receiver<WorkerReply>,
         seq: u64,
     }
@@ -521,18 +639,26 @@ mod tests {
         recorder: Option<Arc<Recorder>>,
     ) -> Harness {
         let (tx, rx) = channel();
-        let handle = m.session("app".into(), GTxn(gtxn), Arc::clone(failures), recorder, tx);
-        Harness { handle, rx, seq: 0 }
+        let handle = m.session("app".into(), GTxn(gtxn), Arc::clone(failures), recorder);
+        Harness {
+            handle,
+            tx,
+            rx,
+            seq: 0,
+        }
     }
 
     impl Harness {
         fn exec(&mut self, sql: &str) -> Result<QueryResult> {
             self.seq += 1;
-            self.handle.send(SessionMsg::Exec {
-                seq: self.seq,
-                stmt: Arc::new(parse(sql).unwrap()),
-                params: Arc::new(vec![]),
-            })?;
+            self.handle.send(
+                SessionMsg::Exec {
+                    seq: self.seq,
+                    stmt: Arc::new(parse(sql).unwrap()),
+                    params: Arc::new(vec![]),
+                },
+                &self.tx,
+            )?;
             self.recv().result
         }
 
@@ -548,7 +674,7 @@ mod tests {
         fn prepare(&mut self) -> WorkerReply {
             self.seq += 1;
             self.handle
-                .send(SessionMsg::Prepare { seq: self.seq })
+                .send(SessionMsg::Prepare { seq: self.seq }, &self.tx)
                 .unwrap();
             self.recv()
         }
@@ -566,7 +692,7 @@ mod tests {
                     want_reply: true,
                 }
             };
-            self.handle.send(msg).unwrap();
+            self.handle.send(msg, &self.tx).unwrap();
             self.recv().result
         }
     }
@@ -691,6 +817,41 @@ mod tests {
         let err = s.exec("SELECT * FROM kv").unwrap_err();
         assert!(err.is_proactive_rejection());
         assert_eq!(failures.len(), 1);
+    }
+
+    fn select_k1(seq: u64) -> SessionMsg {
+        SessionMsg::Exec {
+            seq,
+            stmt: Arc::new(parse("SELECT v FROM kv WHERE k = 1").unwrap()),
+            params: Arc::new(vec![]),
+        }
+    }
+
+    #[test]
+    fn inline_claim_runs_on_caller_and_drains_what_queued_meanwhile() {
+        let m = machine_with_table();
+        let failures = Arc::new(TxnFailures::default());
+        let mut s = session(&m, 9, &failures);
+        s.exec("INSERT INTO kv VALUES (1, 'x')").unwrap();
+        let Claim::Inline(call) = s.handle.claim(select_k1(10)).unwrap() else {
+            panic!("an idle lane must be claimable");
+        };
+        // While claimed the lane is busy: a second claim is refused and a
+        // pool send only queues.
+        assert!(matches!(
+            s.handle.claim(select_k1(11)).unwrap(),
+            Claim::Busy(_)
+        ));
+        s.handle.send(select_k1(12), &s.tx).unwrap();
+        let reply = call.run().expect("inline reply");
+        assert_eq!(reply.seq, 10);
+        assert_eq!(reply.result.unwrap().rows[0][0], Value::Text("x".into()));
+        // Releasing the claim drained the queued message on this thread.
+        let queued = s.rx.try_recv().expect("drained on release");
+        assert_eq!(queued.seq, 12);
+        s.seq = 12;
+        s.finish(true).unwrap();
+        assert!(s.handle.claim(select_k1(13)).is_err(), "finished lane");
     }
 
     #[test]

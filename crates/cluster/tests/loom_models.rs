@@ -1,10 +1,11 @@
 //! Exhaustive interleaving checks (via `tenantdb-loom`) for the two
 //! protocols whose correctness is purely about ordering:
 //!
-//! 1. **Pool session-lane handoff** (`worker.rs` `enqueue`/`drain` + the
-//!    `scheduled` flag): all messages a transaction sends to one machine
-//!    execute in arrival order, exactly once, with a single drainer at a
-//!    time — including when a `Detach` races ordinary sends.
+//! 1. **Session-lane handoff** (`worker.rs` `enqueue`/`claim`/`drain` +
+//!    the `scheduled` flag): all messages a transaction sends to one
+//!    machine execute in arrival order, exactly once, with a single drainer
+//!    at a time — including when a `Detach` races ordinary sends, and when
+//!    the caller claims an idle lane to run a message on its own thread.
 //! 2. **Pair takeover vs. crashes** (`connection.rs` decision logging +
 //!    `pair.rs` `takeover`): a 2PC transaction whose decision reached the
 //!    mirrored log is never lost, whether the coordinator crashes before
@@ -117,17 +118,47 @@ impl Lane {
                 std::mem::take(&mut mb.queue)
             };
             for msg in batch {
-                let mut fin = self.finished.lock();
-                if *fin {
-                    continue;
-                }
-                if msg == TERMINAL {
-                    *fin = true;
-                }
-                drop(fin);
-                self.processed.lock().push(msg);
+                self.process(msg);
             }
         }
+    }
+
+    /// `Session::process`, reduced to the order it runs messages in.
+    fn process(&self, msg: u32) {
+        let mut fin = self.finished.lock();
+        if *fin {
+            return;
+        }
+        if msg == TERMINAL {
+            *fin = true;
+        }
+        drop(fin);
+        self.processed.lock().push(msg);
+    }
+
+    /// `SessionHandle::claim` + `InlineCall::run`: claim an idle lane under
+    /// the lock, process the message on the calling thread, then drain
+    /// whatever queued meanwhile before releasing the slot. A busy lane
+    /// hands the message to the pool path (`enqueue`).
+    fn call(self: &Arc<Self>, msg: u32) -> Result<Option<loom::thread::JoinHandle<()>>, ()> {
+        let claimed = {
+            let mut mb = self.mailbox.lock();
+            if mb.closed {
+                return Err(());
+            }
+            let idle = !mb.scheduled;
+            if idle {
+                mb.scheduled = true;
+                self.arrivals.lock().push(msg);
+            }
+            idle
+        };
+        if !claimed {
+            return self.enqueue(msg);
+        }
+        self.process(msg);
+        self.drain();
+        Ok(None)
     }
 }
 
@@ -151,6 +182,35 @@ fn pool_lane_fifo_exactly_once() {
         p2.join().expect("producer 2");
         // Any drainer spawned by a producer finished before that producer's
         // join returned, so the lane is quiescent here.
+        let arrivals = lane.arrivals.lock().clone();
+        let processed = lane.processed.lock().clone();
+        assert_eq!(
+            processed, arrivals,
+            "every accepted message, exactly once, in arrival order"
+        );
+        assert!(!lane.mailbox.lock().scheduled, "drainer slot released");
+    });
+}
+
+/// The caller runs its reads inline while another thread's pool sends
+/// race them: an inline claim succeeds only on an idle lane, so it never
+/// overtakes a queued message, and a message queued during an inline run
+/// is drained by the caller before it lets the lane go.
+#[test]
+fn inline_claim_keeps_lane_fifo() {
+    bounded().check(|| {
+        let lane = Lane::new();
+        let l1 = Arc::clone(&lane);
+        let caller = loom::thread::spawn(move || {
+            let _ = l1.call(1).expect("open").map(|h| h.join());
+            let _ = l1.call(2).expect("open").map(|h| h.join());
+        });
+        let l2 = Arc::clone(&lane);
+        let pool_sender = loom::thread::spawn(move || {
+            let _ = l2.enqueue(10).expect("open").map(|h| h.join());
+        });
+        caller.join().expect("caller");
+        pool_sender.join().expect("pool sender");
         let arrivals = lane.arrivals.lock().clone();
         let processed = lane.processed.lock().clone();
         assert_eq!(

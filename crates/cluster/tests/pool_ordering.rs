@@ -11,8 +11,12 @@
 //! when the client issues the next one.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use tenantdb_cluster::{ClusterConfig, ClusterController, PoolConfig, ReadPolicy, WritePolicy};
+use tenantdb_cluster::{
+    ClusterConfig, ClusterController, CrashPoint, FaultAction, FaultPlan, PoolConfig, ReadPolicy,
+    Trigger, WritePolicy,
+};
 use tenantdb_storage::{CostModel, EngineConfig, Value};
 
 fn cluster(write: WritePolicy, pool: PoolConfig) -> Arc<ClusterController> {
@@ -175,4 +179,62 @@ fn aggressive_prepare_queues_behind_background_writes() {
             "replica {id} missing committed writes"
         );
     }
+}
+
+/// A read on the pinned replica right after an aggressive early-acked write
+/// must not overtake that write: while the write is still queued on the
+/// pinned replica's lane, the read cannot claim the lane inline, so it goes
+/// to the pool behind the write and sees it.
+#[test]
+fn aggressive_read_waits_behind_write_still_on_pinned_lane() {
+    let c = cluster(WritePolicy::Aggressive, PoolConfig::fixed(2));
+    let pinned = c.placement("app").unwrap().pinned;
+    // Hold the pinned replica's write in the pool before its lane starts
+    // draining, so the other replica acks first and the client moves on
+    // while the write is still queued.
+    c.faults().arm(FaultPlan::new(vec![Trigger {
+        point: CrashPoint::PoolJob,
+        machine: Some(pinned),
+        after_hits: 0,
+        action: FaultAction::Delay(Duration::from_millis(150)),
+    }]));
+    let conn = c.connect("app").unwrap();
+    conn.begin().unwrap();
+    conn.execute("INSERT INTO t VALUES (1, 'w')", &[]).unwrap();
+    let r = conn.execute("SELECT v FROM t WHERE k = 1", &[]).unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Text("w".into())]]);
+    conn.commit().unwrap();
+    assert_eq!(c.faults().fired().len(), 1, "the write delay fired");
+    assert_replicas_converged(&c);
+}
+
+/// An autocommit SELECT and a read-only BEGIN…SELECT…COMMIT on idle lanes
+/// run on the calling thread: no pool job runs for either.
+#[test]
+fn reads_on_idle_lanes_submit_no_pool_job() {
+    let c = cluster(WritePolicy::Conservative, PoolConfig::fixed(1));
+    let conn = c.connect("app").unwrap();
+    conn.execute("INSERT INTO t VALUES (1, 'a')", &[]).unwrap();
+    // Any pool job on any machine from here on fires this trigger.
+    c.faults().arm(FaultPlan::new(vec![Trigger {
+        point: CrashPoint::PoolJob,
+        machine: None,
+        after_hits: 0,
+        action: FaultAction::Delay(Duration::from_millis(1)),
+    }]));
+    let r = conn.execute("SELECT v FROM t WHERE k = 1", &[]).unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Text("a".into())]]);
+    conn.begin().unwrap();
+    let r = conn.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(1));
+    conn.execute("SELECT v FROM t WHERE k = 1", &[]).unwrap();
+    conn.commit().unwrap();
+    assert!(
+        c.faults().fired().is_empty(),
+        "a read ran as a pool job: {:?}",
+        c.faults().fired()
+    );
+    // Teeth: a write does go through the pool and fires the trigger.
+    conn.execute("INSERT INTO t VALUES (2, 'b')", &[]).unwrap();
+    assert_eq!(c.faults().fired().len(), 1);
 }

@@ -89,10 +89,6 @@ pub struct ServerConfig {
     /// Sessions idle (no frame, not in a transaction) longer than this are
     /// reaped.
     pub idle_timeout: Duration,
-    /// Legacy knob from the thread-per-connection server's reap scanner.
-    /// The timer wheel reaps per-connection deadlines directly; this value
-    /// is no longer read, but stays so existing configs keep compiling.
-    pub reap_interval: Duration,
     /// How long [`Server::shutdown`] waits for sessions to drain before
     /// force-closing their sockets.
     pub drain_timeout: Duration,
@@ -112,8 +108,10 @@ pub struct ServerConfig {
     pub write_buffer: usize,
     /// Execute read-only requests (a `SELECT` query, a whole-txn batch of
     /// only selects) inline on the reactor when nothing is queued ahead,
-    /// skipping the executor handoff. Worst case an inline read waits out
-    /// one bounded S-lock timeout on the reactor; disable under heavy
+    /// skipping the executor handoff; the cluster then runs the read on
+    /// the reactor as well whenever the replica's session lane is idle, so
+    /// no thread hop is left. Worst case an inline read waits out one
+    /// bounded S-lock timeout on the reactor; disable under heavy
     /// cross-session write contention.
     pub inline_read_only: bool,
 }
@@ -125,7 +123,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(300),
-            reap_interval: Duration::from_millis(250),
             drain_timeout: Duration::from_secs(5),
             reactor_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -1066,7 +1063,12 @@ impl Reactor {
     /// `Query`, or a `WholeTxn` batch of only reads — execute inline on
     /// the reactor, skipping the executor handoff (a context switch per
     /// request, the dominant cost of small requests on loopback). The
-    /// worst an inline read can do is wait out one bounded S-lock timeout;
+    /// cluster runs each such read on the calling thread too, against the
+    /// replica's idle session lane (`cluster::worker`), so a browsing
+    /// interaction runs on this one thread end to end; only a lane still
+    /// busy with an earlier write hands the read to the machine's pool
+    /// and waits for it. The worst an inline read can do is wait out one
+    /// bounded S-lock timeout;
     /// every write path (and anything behind other work) goes to the
     /// executor pool so a row-lock convoy can never park a reactor behind
     /// another connection's open transaction. Everything else joins the

@@ -364,7 +364,6 @@ fn idle_sessions_are_reaped() {
         Arc::clone(&sys),
         ServerConfig {
             idle_timeout: Duration::from_millis(200),
-            reap_interval: Duration::from_millis(50),
             ..ServerConfig::default()
         },
     )
@@ -933,7 +932,6 @@ fn thousand_idle_connections_reaped_active_session_survives() {
         ServerConfig {
             max_connections: SWARM + 50,
             idle_timeout: Duration::from_millis(400),
-            reap_interval: Duration::from_millis(50),
             ..ServerConfig::default()
         },
     )

@@ -703,7 +703,10 @@ fn fail_machine_idempotent() -> Result<(), String> {
 }
 
 /// Delays injected at the pool-job level (before any engine work) on one
-/// machine: timing shifts, correctness doesn't.
+/// machine: timing shifts, correctness doesn't. `PoolJob` fires only for
+/// work a pool drains; a read that claims an idle lane runs on the caller's
+/// thread and never hits it. This scenario only writes, so every statement
+/// and 2PC message here still goes through the pool.
 fn pool_job_delay() -> Result<(), String> {
     let (read, write) = (ReadPolicy::PerOperation, WritePolicy::Conservative);
     let (c, rec) = cluster(read, write, 3, 2);
@@ -1048,9 +1051,13 @@ fn sla_reject_under_failover() -> Result<(), String> {
             let conn = c2.connect("noisy").map_err(|e| format!("connect: {e}"))?;
             let (mut ok, mut shed) = (0u64, 0u64);
             let mut k = 1_000_000i64;
+            // A fixed count of inserts, far past the gate's 5-token burst,
+            // is offered before `stop` is honoured, so the offered load does
+            // not depend on how fast a loaded host runs this thread.
+            const MIN_OFFERED: i64 = 200;
             // ordering: Relaxed — the stop flag publishes no data; the loop
             // only needs eventual visibility of the shutdown request.
-            while !stop2.load(Ordering::Relaxed) {
+            while k < 1_000_000 + MIN_OFFERED || !stop2.load(Ordering::Relaxed) {
                 k += 1;
                 match conn.execute("INSERT INTO t VALUES (?, 'n')", &[Value::Int(k)]) {
                     Ok(_) => ok += 1,
